@@ -52,9 +52,6 @@ QUERY_SCHEMA = "repro.query/1"
 #: and a test pins it, so adding a schema anywhere forces the registry
 #: (and the docs) to follow.
 SCHEMA_REGISTRY: dict[str, tuple[str, str]] = {
-    "repro.checkpoint/1": (
-        "survey --checkpoint",
-        "JSONL per-contract sweep progress for crash/resume"),
     "repro.store/1": (
         "survey --store / repro serve",
         "durable SQLite analysis store (hash facts + instance rows)"),

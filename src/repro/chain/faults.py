@@ -12,7 +12,7 @@ tell it from a healthy node.
 Determinism is the load-bearing property: whether a given *request* is
 fault-stricken is decided by hashing ``(seed, rule, method, request
 signature)``, never by shared mutable RNG state, so a sweep under a plan is
-reproducible call-for-call — including across checkpoint/resume, where the
+reproducible call-for-call — including across a resume, where the
 resumed process replays a different call sequence.  Transient faults are
 *attempt-scoped*: a stricken request fails its first ``fail_attempts``
 tries and then succeeds, which is exactly the contract retry loops need for
@@ -76,12 +76,14 @@ class FaultRule:
     supervisor exists for — they do not raise, they take the whole worker
     down (``os._exit``) or wedge it (a real sleep no retry loop can
     interrupt).  Scoped two ways: with a ``window`` they fire when the
-    per-method call counter enters it — the transient OOM-kill model,
-    which a respawned worker (resuming past the completed prefix, hence
-    never re-reaching that call index) survives; with a ``probability``
-    they stick to the struck request *signatures* on every attempt — the
-    poison-contract model, which only shard bisection and quarantine can
-    absorb.  ``latency_s`` bounds a hang's duration (0 = wedged forever,
+    per-method call counter enters it — the OOM-kill model.  That counter
+    is per process and restarts in every respawned worker, so the crash
+    recurs on each attempt that still makes enough calls to reach the
+    window; each attempt keeps the contracts it committed, so the task
+    still converges, by respawn and, past the retry budget, bisection.
+    With a ``probability`` they stick to the struck request *signatures*
+    on every attempt — the poison-contract model, which only shard
+    bisection and quarantine can absorb.  ``latency_s`` bounds a hang's duration (0 = wedged forever,
     until the supervisor kills the worker).
     """
 
@@ -420,16 +422,20 @@ def canned_plan(name: str, seed: int = 0) -> FaultPlan:
     parallel sweeps (they take the calling process down — run them behind
     ``survey --workers N``, never serially):
 
-    * ``worker-crash`` — the worker ``os._exit``\\ s at ``eth_getCode``
-      call #15: every busy shard dies once mid-shard, and the respawned
-      worker (resuming past the completed prefix) finishes clean.
+    * ``worker-crash`` — the worker ``os._exit``\\ s at its
+      ``eth_getCode`` call #15 (0-based, per process).  The counter
+      restarts in each respawned worker, so *every* attempt with 16 or
+      more such calls left crashes again; each one resumes past the
+      contracts its predecessors committed, and a task that exhausts its
+      retries is bisected into smaller ones.  Nothing is quarantined
+      unless one contract alone needs 16 calls.
     * ``worker-poison`` — 2 % of ``eth_getCode`` request signatures crash
       the worker on *every* attempt: only bisection down to the poison
       contract and a ``worker-crash`` quarantine absorb it.
     * ``worker-hang`` — 2 % of signatures wedge the worker forever; the
       supervisor's heartbeat timeout must kill and bisect.
-    * ``worker-chaos`` — one mid-shard crash *and* sticky 1 % hangs: the
-      combined kill-one-wedge-another acceptance scenario.
+    * ``worker-chaos`` — the ``worker-crash`` window *and* sticky 1 %
+      hangs: the combined kill-and-wedge acceptance scenario.
 
     ``chain-reorg`` is chain-level chaos: a scheduled one-shot depth-3
     reorganization at ``eth_getCode`` call #25 — the top three block

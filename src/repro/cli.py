@@ -64,14 +64,10 @@ _OBSERVABILITY_FLAGS: dict[str, dict] = {
         help="serve /metrics, /healthz and /progress over HTTP on "
              "127.0.0.1:PORT while the command runs (0 = pick an "
              "ephemeral port); the same handlers `repro serve` mounts"),
-    "--serve-obs": dict(
-        type=int, default=None, metavar="PORT",
-        help="deprecated alias of --serve (one release; same handlers, "
-             "byte-identical /metrics)"),
 }
 
 #: Flag name → ``add_argument`` kwargs for the robustness group (chaos
-#: injection + checkpoint/resume).
+#: injection, RPC failover, supervision).
 _ROBUSTNESS_FLAGS: dict[str, dict] = {
     "--chaos": dict(
         default=None,
@@ -87,14 +83,6 @@ _ROBUSTNESS_FLAGS: dict[str, dict] = {
         help="front the chain with N RPC backends behind a failover "
              "node; --chaos then strikes only the primary endpoint "
              "(default 1 = single endpoint, docs/robustness.md)"),
-    "--checkpoint": dict(
-        default=None, metavar="FILE",
-        help="append per-contract progress to a JSONL checkpoint so a "
-             "killed sweep can resume"),
-    "--resume": dict(
-        action="store_true",
-        help="resume from --checkpoint FILE if it exists (skips "
-             "completed addresses)"),
     "--shard-timeout": dict(
         type=float, default=30.0, metavar="SECONDS",
         help="supervised sweeps (--workers > 1): kill a worker whose "
@@ -134,7 +122,7 @@ def add_robustness_flags(parser: argparse.ArgumentParser,
 
 
 def _cmd_survey(args: argparse.Namespace) -> int:
-    # Thin wrapper so the live ops surface (--serve-obs) and the serial
+    # Thin wrapper so the live ops surface (--serve) and the serial
     # events journal are always torn down, whichever path/return the
     # sweep takes.
     obs: dict = {"registry": None, "server": None, "journal": None}
@@ -158,6 +146,25 @@ def _survey_impl(args: argparse.Namespace, obs: dict) -> int:
         table4_standards,
     )
 
+    store_path = args.store
+    # Removed flags still parse, so old scripts get these messages
+    # instead of an argparse usage error.
+    if args.db:
+        print("error: --db was removed; use --store PATH (same "
+              "repro.store/1 database — files written by --db open "
+              "unchanged)", file=sys.stderr)
+        return 2
+    if args.checkpoint or args.resume:
+        print("error: --checkpoint/--resume were removed; resume a sweep "
+              "with --store PATH --incremental (the store commits every "
+              "contract, so a rerun restores them and analyzes the rest)",
+              file=sys.stderr)
+        return 2
+    if args.incremental and store_path is None:
+        print("error: --incremental requires --store PATH (the store is "
+              "where settled work is read from)", file=sys.stderr)
+        return 2
+
     profile = get_profile(args.chain)
     if not args.json:
         print(f"generating {args.total} contracts on {profile.name} "
@@ -166,24 +173,6 @@ def _survey_impl(args: argparse.Namespace, obs: dict) -> int:
                                    chain_profile=profile)
     options = ProxionOptions(detect_diamonds=args.diamonds,
                              profile_evm=args.profile_evm or bool(args.flame))
-
-    if args.resume and not args.checkpoint:
-        print("error: --resume requires --checkpoint FILE", file=sys.stderr)
-        return 2
-
-    store_path = args.store
-    if args.db:
-        # Deprecated in PR 8, removed now (one release of deprecation
-        # served): the flag still parses so old scripts get this message
-        # instead of an argparse usage error.
-        print("error: --db was removed; use --store PATH (same "
-              "repro.store/1 database — files written by --db open "
-              "unchanged)", file=sys.stderr)
-        return 2
-    if args.incremental and store_path is None:
-        print("error: --incremental requires --store PATH (the store is "
-              "where settled work is read from)", file=sys.stderr)
-        return 2
 
     audit = None
     if args.audit:
@@ -201,17 +190,7 @@ def _survey_impl(args: argparse.Namespace, obs: dict) -> int:
                   f"{args.audit} (render with `repro explain ADDR "
                   f"--audit {args.audit}`)")
 
-    serve_port = args.serve
-    if args.serve_obs is not None:
-        if serve_port is not None and serve_port != args.serve_obs:
-            print("error: --serve-obs is a deprecated alias of --serve; "
-                  "the two name different ports — pass --serve only",
-                  file=sys.stderr)
-            return 2
-        serve_port = args.serve_obs
-        print("note: --serve-obs is deprecated; use --serve PORT (same "
-              "endpoints, same handlers)", file=sys.stderr)
-    if serve_port is not None:
+    if args.serve is not None:
         from repro.obs.http import ObsServer
 
         # The callable indirection lets the CLI swap in the merged
@@ -221,14 +200,14 @@ def _survey_impl(args: argparse.Namespace, obs: dict) -> int:
         obs["server"] = ObsServer(lambda: obs["registry"],
                                   journal_path=args.events,
                                   hung_after_s=args.shard_timeout,
-                                  port=serve_port)
+                                  port=args.serve)
         if not args.json:
             print(f"obs: serving /metrics /healthz /progress at "
                   f"{obs['server'].url}")
 
     if args.workers > 1:
         # Per-worker artifacts that cannot be merged into one file stay
-        # serial-only; everything else (chaos, checkpoints, metrics, db,
+        # serial-only; everything else (chaos, store, metrics, events,
         # json) composes with sharding.
         for flag, value in (("--flame", args.flame),
                             ("--trace-jsonl", args.trace_jsonl)):
@@ -256,8 +235,7 @@ def _survey_impl(args: argparse.Namespace, obs: dict) -> int:
                 max_shard_retries=args.max_shard_retries)
             result = run_sharded_sweep(
                 spec, workers=args.workers, strategy=args.shard_strategy,
-                world=landscape, checkpoint_path=args.checkpoint,
-                resume=args.resume, supervise=supervise,
+                world=landscape, supervise=supervise,
                 progress=None if args.json else print,
                 events_path=args.events, audit_dir=args.audit,
                 store_path=store_path, incremental=args.incremental)
@@ -339,39 +317,14 @@ def _survey_impl(args: argparse.Namespace, obs: dict) -> int:
             from repro.obs import JsonLinesSink
             proxion.tracer.add_sink(JsonLinesSink(args.trace_jsonl))
 
-        checkpoint = None
-        addresses = None
-        if args.checkpoint:
-            import os
-            from repro.errors import ConfigurationError
-            from repro.landscape.checkpoint import SweepCheckpoint
-            addresses = landscape.dataset.addresses()
-            try:
-                if args.resume and os.path.exists(args.checkpoint):
-                    checkpoint = SweepCheckpoint.resume(args.checkpoint,
-                                                        addresses)
-                    if not args.json:
-                        print(f"resuming from {args.checkpoint}: "
-                              f"{len(checkpoint.completed)} of "
-                              f"{len(addresses)} addresses already done")
-                else:
-                    checkpoint = SweepCheckpoint.start(args.checkpoint,
-                                                       addresses)
-            except (ConfigurationError, OSError) as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
-
         if events is not None:
             from repro.obs.events import SWEEP_END, SWEEP_START
-            sweep_addresses = (addresses if addresses is not None
-                               else landscape.dataset.addresses())
-            events.emit(SWEEP_START, contracts=len(sweep_addresses),
+            events.emit(SWEEP_START,
+                        contracts=len(landscape.dataset.addresses()),
                         workers=1, strategy="serial", chaos=args.chaos)
         try:
-            report = proxion.analyze_all(addresses, checkpoint=checkpoint)
+            report = proxion.analyze_all()
         finally:
-            if checkpoint is not None:
-                checkpoint.close()
             if store_binding is not None:
                 store_binding.close()
         if events is not None:
@@ -949,6 +902,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "to a from-scratch sweep")
     survey.add_argument("--db", default=None, metavar="PATH",
                         help="removed; use --store PATH")
+    survey.add_argument("--checkpoint", default=None, metavar="FILE",
+                        help="removed; use --store PATH --incremental")
+    survey.add_argument("--resume", action="store_true",
+                        help="removed; use --store PATH --incremental")
     survey.add_argument("--workers", type=int, default=1, metavar="N",
                         help="shard the sweep across N worker processes "
                              "(default 1 = serial; docs/parallelism.md)")

@@ -24,7 +24,6 @@ from repro.core.signature_extractor import dispatcher_selectors
 from repro.obs import provenance
 from repro.obs.provenance import NULL_TRAIL, EvidenceTrail
 from repro.utils.abi import function_selector
-from repro.utils.keccak import keccak256
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,17 +67,20 @@ class FunctionCollisionDetector:
         # repro.store binding passes its write-through dict here, making
         # the paper's bytecode extraction a durable hash-keyed fact.
         # Only the bytecode mode caches: source mode is address-dependent.
+        # The key is the codehash the caller already holds; a call
+        # without one mines uncached rather than rehash the bytecode.
         self._selector_cache = selector_cache
 
     def selector_map(self, code: bytes,
-                     address: bytes | None = None) -> tuple[dict[bytes, str | None], str]:
+                     address: bytes | None = None,
+                     code_hash: bytes | None = None,
+                     ) -> tuple[dict[bytes, str | None], str]:
         """Selector → prototype-or-None for one contract, plus the mode."""
         source = self._registry.resolve(address, code) if address or code else None
         if source is not None:
             named = _selector_map_from_source(source.function_prototypes)
             return dict(named), "source"
-        if self._selector_cache is not None:
-            code_hash = keccak256(code)
+        if self._selector_cache is not None and code_hash is not None:
             selectors = self._selector_cache.get(code_hash)
             if selectors is None:
                 # Canonical (sorted) order: the stored fact must be
@@ -92,15 +94,22 @@ class FunctionCollisionDetector:
     def detect(self, proxy_code: bytes, logic_code: bytes,
                proxy_address: bytes | None = None,
                logic_address: bytes | None = None,
-               trail: EvidenceTrail = NULL_TRAIL) -> FunctionCollisionReport:
+               trail: EvidenceTrail = NULL_TRAIL, *,
+               proxy_hash: bytes | None = None,
+               logic_hash: bytes | None = None) -> FunctionCollisionReport:
         """Pairwise selector cross-check of a proxy/logic pair.
 
         ``trail`` records each side's selector provenance (verified-source
         prototypes vs the bytecode dispatcher pattern) and every colliding
         selector with its prototypes when source names them.
+        ``proxy_hash``/``logic_hash`` are the two codehashes, which key
+        the selector cache (the pipeline already holds them for its pair
+        key).
         """
-        proxy_map, proxy_mode = self.selector_map(proxy_code, proxy_address)
-        logic_map, logic_mode = self.selector_map(logic_code, logic_address)
+        proxy_map, proxy_mode = self.selector_map(proxy_code, proxy_address,
+                                                  proxy_hash)
+        logic_map, logic_mode = self.selector_map(logic_code, logic_address,
+                                                  logic_hash)
         trail.note(provenance.FUNCTION_SELECTORS, side="proxy",
                    mode=proxy_mode, count=len(proxy_map))
         trail.note(provenance.FUNCTION_SELECTORS, side="logic",

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from repro.chain.api import NodeRPC
 from repro.chain.blockchain import Blockchain
@@ -410,7 +411,8 @@ class Proxion:
                         with self.tracer.span("function_collision"):
                             report = self.function_detector.detect(
                                 proxy_code, logic_code,
-                                analysis.address, logic_address, trail=trail)
+                                analysis.address, logic_address, trail=trail,
+                                proxy_hash=proxy_hash, logic_hash=logic_hash)
                         self._function_cache[pair] = report
                     analysis.function_reports.append(report)  # type: ignore[arg-type]
 
@@ -459,7 +461,7 @@ class Proxion:
 
     # ------------------------------------------------------------ full sweep
     def _quarantine(self, report: LandscapeReport, address: bytes,
-                    stage: str, error: Exception, checkpoint) -> None:
+                    stage: str, error: Exception) -> None:
         """Record one failed contract and keep the sweep alive."""
         failure = ContractFailure(address=address,
                                   cause=classify_cause(error),
@@ -469,13 +471,50 @@ class Proxion:
                              cause=failure.cause).inc()
         self.events.emit(PIPELINE_QUARANTINE, address="0x" + address.hex(),
                          stage=stage, cause=failure.cause, error=str(error))
-        if checkpoint is not None:
-            checkpoint.record_failure(failure)
         if self.store is not None:
             self.store.record_failure(failure)
 
+    def _settle(self, report: LandscapeReport, address: bytes) -> None:
+        """Analyze, skip or quarantine one address, then persist it.
+
+        With a store bound, each outcome is one transaction: staged fact
+        writes commit together with the instance row, so kill -9 rolls
+        back to the previous contract boundary.
+        """
+        try:
+            alive = self.node.is_alive(address)
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except ConfigurationError:
+            raise
+        except Exception as error:
+            if self.options.fail_fast:
+                raise
+            self._quarantine(report, address, "liveness", error)
+            return
+        if not alive:
+            # §3.1: destroyed contracts are excluded.
+            if self.store is not None:
+                self.store.record_skip(address)
+            return
+        try:
+            analysis = self.analyze_contract(address)
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except ConfigurationError:
+            raise
+        except Exception as error:
+            if self.options.fail_fast:
+                raise
+            self._quarantine(report, address, "analysis", error)
+            return
+        report.add(analysis)
+        if self.store is not None:
+            self.store.record_analysis(analysis)
+
     def analyze_all(self, addresses: list[bytes] | None = None,
-                    checkpoint=None) -> LandscapeReport:
+                    on_settled: Callable[[int], None] | None = None,
+                    ) -> LandscapeReport:
         """Analyze every (alive) contract, like the paper's §7 sweep.
 
         The sweep degrades gracefully: a contract whose analysis raises is
@@ -486,11 +525,12 @@ class Proxion:
         :class:`~repro.errors.ConfigurationError` always propagates: caller
         bugs must not be silently quarantined.
 
-        ``checkpoint`` is a :class:`~repro.landscape.checkpoint.SweepCheckpoint`
-        (or anything with its surface): completed addresses are skipped and
-        their restored analyses/failures pre-seed the report, and every
-        newly finished address is appended, so a killed sweep resumes from
-        the last completed contract.
+        Resume goes through the store: with an ``incremental`` binding,
+        every address the store already settles is restored instead of
+        re-analyzed.  ``on_settled`` is called after each contract this
+        call settles (analysis, skip or quarantine, already committed when
+        a store is bound) with the running count of settled addresses,
+        restored ones included — the sweep supervisor's heartbeat.
         """
         if addresses is None:
             if self.dataset is None:
@@ -499,29 +539,6 @@ class Proxion:
             addresses = self.dataset.addresses()
         report = LandscapeReport()
         done: frozenset[bytes] = frozenset()
-        if checkpoint is not None:
-            for analysis in checkpoint.restored_analyses():
-                report.add(analysis)
-            for failure in checkpoint.restored_failures():
-                report.add_failure(failure)
-            done = frozenset(checkpoint.completed)
-            # ``completed`` includes §3.1 skips (dead contracts recorded so
-            # a resume does not re-probe is_alive); count those separately
-            # so resumed_contracts means restored analyses + failures.
-            skips = len(getattr(checkpoint, "skipped", ()))
-            self.metrics.counter("pipeline.resumed_contracts").inc(
-                len(done) - skips)
-            self.metrics.counter("pipeline.resumed_skips").inc(skips)
-            recovered = getattr(checkpoint, "recovered_truncations", 0)
-            if recovered:
-                # Crash-truncated tail lines dropped by the checkpoint
-                # loader; their contracts are re-analyzed below.
-                self.metrics.counter(
-                    "checkpoint.recovered_truncations").inc(recovered)
-            if done or recovered:
-                self.events.emit(CHECKPOINT_RESUME,
-                                 restored=len(done) - skips, skips=skips,
-                                 recovered_truncations=recovered)
         store_restored = None
         if self.store is not None and self.store.incremental:
             # Incremental re-sweep (repro.store): re-survey the corpus by
@@ -533,8 +550,7 @@ class Proxion:
             from repro.store.binding import restore_instances
             try:
                 store_restored = restore_instances(
-                    self.store.store, addresses, self._state.get_code,
-                    already=done)
+                    self.store.store, addresses, self._state.get_code)
             except ConfigurationError:
                 raise
             except Exception as error:
@@ -546,64 +562,38 @@ class Proxion:
                     report.add(analysis)
                 for failure in store_restored.failures:
                     report.add_failure(failure)
-                done = frozenset(done | store_restored.completed)
+                done = frozenset(store_restored.completed)
+                restored = (len(store_restored.analyses)
+                            + len(store_restored.failures))
+                skips = len(store_restored.skips)
                 self.metrics.counter("pipeline.store_restored_contracts").inc(
-                    len(store_restored.analyses)
-                    + len(store_restored.failures))
+                    restored)
                 self.metrics.counter("pipeline.store_restored_skips").inc(
-                    len(store_restored.skips))
+                    skips)
                 if store_restored.invalidated:
                     self.metrics.counter("store.invalidated_instances").inc(
                         store_restored.invalidated)
+                if done:
+                    # The event kind and its recovered_truncations key
+                    # predate the store; both are kept so the
+                    # repro.events/1 shape is unchanged.
+                    self.events.emit(CHECKPOINT_RESUME, restored=restored,
+                                     skips=skips, recovered_truncations=0)
         hits_before = {c: counter.value
                        for c, counter in self._dedup_hits.items()}
         misses_before = {c: counter.value
                          for c, counter in self._dedup_misses.items()}
         self.events.emit(PIPELINE_START, contracts=len(addresses),
                          resumed=len(done))
+        settled = len(done)
         with self.tracer.span("sweep", contracts=len(addresses)):
             for address in addresses:
                 if address in done:
                     continue
-                try:
-                    alive = self.node.is_alive(address)
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except ConfigurationError:
-                    raise
-                except Exception as error:
-                    if self.options.fail_fast:
-                        raise
-                    self._quarantine(report, address, "liveness", error,
-                                     checkpoint)
-                    continue
-                if not alive:
-                    # §3.1: destroyed contracts are excluded.
-                    if checkpoint is not None:
-                        checkpoint.record_skip(address)
-                    if self.store is not None:
-                        self.store.record_skip(address)
-                    continue
-                try:
-                    analysis = self.analyze_contract(address)
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except ConfigurationError:
-                    raise
-                except Exception as error:
-                    if self.options.fail_fast:
-                        raise
-                    self._quarantine(report, address, "analysis", error,
-                                     checkpoint)
-                    continue
-                report.add(analysis)
-                if checkpoint is not None:
-                    checkpoint.record_analysis(analysis)
-                if self.store is not None:
-                    # One transaction per contract: staged fact writes
-                    # commit together with the instance row, so kill -9
-                    # rolls back to the previous contract boundary.
-                    self.store.record_analysis(analysis)
+                self._settle(report, address)
+                settled += 1
+                if on_settled is not None:
+                    on_settled(settled)
         if self.evm_profiler is not None:
             self.evm_profiler.flush_to(self.metrics)
 

@@ -148,7 +148,7 @@ def classify_cause(error: BaseException) -> str:
     """The short cause label a failure is quarantined under.
 
     Stable, low-cardinality strings: they label metrics series and appear
-    in checkpoint files, so renames are schema changes.
+    in stored failure records, so renames are schema changes.
     """
     if isinstance(error, WorkerCrash):
         return "worker-crash"

@@ -9,7 +9,6 @@ from repro.landscape.accuracy import (
     score_uschunt_storage,
     table2,
 )
-from repro.landscape.checkpoint import SweepCheckpoint, shard_checkpoint_path
 from repro.landscape.merge import merge_reports
 from repro.landscape.serialize import (
     analysis_to_dict,
@@ -34,7 +33,6 @@ from repro.landscape.survey import (
 
 __all__ = [
     "CollisionsByYear",
-    "SweepCheckpoint",
     "analysis_to_dict",
     "dict_to_analysis",
     "dict_to_failure",
@@ -42,7 +40,6 @@ __all__ = [
     "merge_reports",
     "report_to_dict",
     "report_to_json",
-    "shard_checkpoint_path",
     "ConfusionMatrix",
     "DuplicateCensus",
     "UpgradeCensus",

@@ -97,7 +97,7 @@ def analysis_to_dict(analysis: ContractAnalysis) -> dict[str, Any]:
     ]
     if analysis.evidence_digest is not None:
         # Audited sweeps only: the compact repro.evidence/1 digest rides
-        # with the analysis so checkpoints and merged parallel sweeps keep
+        # with the analysis so stored and merged parallel sweeps keep
         # provenance.  Absent on the default path, which keeps un-audited
         # output byte-identical to previous releases.
         record["evidence"] = analysis.evidence_digest
@@ -115,7 +115,7 @@ def failure_to_dict(failure: ContractFailure) -> dict[str, Any]:
 
 
 def dict_to_failure(record: dict[str, Any]) -> ContractFailure:
-    """Inverse of :func:`failure_to_dict` (checkpoint resume)."""
+    """Inverse of :func:`failure_to_dict` (store restore, shard merge)."""
     return ContractFailure(
         address=_unhex(record["address"]),
         cause=record["cause"],
@@ -170,7 +170,7 @@ def dict_to_analysis(record: dict[str, Any]) -> ContractAnalysis:
     serialization — ephemeral inputs (probe calldata, emulation error
     text, collision prototypes, non-colliding reports) are not serialized,
     so the round-trip guarantee is ``analysis_to_dict(dict_to_analysis(d))
-    == d``, which is exactly what checkpoint/resume needs: a resumed sweep
+    == d``, which is exactly what store resume needs: a resumed sweep
     serializes identically to the uninterrupted one.
     """
     from repro.core.function_collision import (

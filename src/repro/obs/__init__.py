@@ -19,7 +19,7 @@ Dependency-free metrics + tracing for the whole reproduction:
 * :mod:`repro.obs.console` — read-only live views over a journal
   (``repro status`` / ``repro tail`` / the ``/healthz`` verdict);
 * :mod:`repro.obs.http` — the stdlib HTTP exporter behind
-  ``survey --serve-obs``: ``/metrics``, ``/healthz``, ``/progress``;
+  ``survey --serve``: ``/metrics``, ``/healthz``, ``/progress``;
 * :mod:`repro.obs.provenance` — verdict provenance: per-contract
   ``repro.evidence/1`` causal evidence trees recorded by audited sweeps
   (``survey --audit``) and rendered by ``repro explain``.

@@ -343,11 +343,13 @@ def _pipeline_supervised_workload(workers: int = 4) -> Workload:
             run_sharded_sweep,
         )
 
-        # The windowed worker-crash plan kills each worker once mid-shard;
-        # respawn-with-resume heals it.  The median-wall delta against
+        # The windowed worker-crash plan kills every attempt that still
+        # makes 16+ eth_getCode calls (a per-process call index), so a
+        # shard dies repeatedly; respawns resume from the shard store and
+        # bisection finishes the job.  The median-wall delta against
         # pipeline_parallel (same scale, crash-free) is the price of
-        # losing and resurrecting every worker once — the supervisor's
-        # self-healing overhead under fire.
+        # those crashes — the supervisor's self-healing overhead under
+        # fire.
         spec = SweepSpec(total=config.scale(120, 250), seed=config.seed,
                          options=ProxionOptions(profile_evm=True),
                          chaos="worker-crash", chaos_seed=config.seed)
@@ -369,10 +371,10 @@ def _pipeline_supervised_workload(workers: int = 4) -> Workload:
     return Workload(
         name="pipeline_supervised",
         description=f"the sweep_250 pipeline across {workers} supervised "
-                    f"workers with every worker crash-injected once "
-                    f"mid-shard (worker-crash plan): measures the "
-                    f"kill/respawn/resume self-healing overhead vs "
-                    f"pipeline_parallel",
+                    f"workers under the worker-crash plan, which kills "
+                    f"every attempt with 16+ eth_getCode calls left: "
+                    f"measures the kill/respawn/resume/bisect "
+                    f"self-healing overhead vs pipeline_parallel",
         setup=setup, run=run)
 
 

@@ -2,9 +2,9 @@
 
 These are the live ops views over a ``repro.events/1`` journal
 (:mod:`repro.obs.events`) — everything here opens the journal read-only
-and tolerates a sweep that is *still writing to it*, reusing the
-checkpoint tail-tolerance rules: a crash- or race-truncated final line is
-skipped, corruption anywhere earlier refuses loudly.
+and tolerates a sweep that is *still writing to it*: a crash- or
+race-truncated final line is skipped, corruption anywhere earlier
+refuses loudly.
 
 * :func:`journal_snapshot` folds the journal into a :class:`SweepStatus`
   — per-shard progress, heartbeat lag, respawn/bisection accounting, and
@@ -84,8 +84,8 @@ class SweepStatus:
     hung_kills: int = 0
     bisections: int = 0
     quarantined: int = 0         # poison + pipeline quarantines
-    resumed: int = 0             # contracts restored by checkpoint resume
-    recovered_truncations: int = 0
+    resumed: int = 0             # contracts restored from a store
+    recovered_truncations: int = 0   # kept in the shape; store resumes say 0
     truncated_tail: int = 0      # journal lines dropped by the reader
     events: int = 0
     shards: dict[int, ShardStatus] = field(default_factory=dict)
@@ -231,7 +231,7 @@ def render_status(status: SweepStatus) -> str:
     lines.append(f"  {status.respawns} respawns, {status.hung_kills} hung "
                  f"kills, {status.bisections} bisections, "
                  f"{status.quarantined} quarantined"
-                 + (f", {status.resumed} restored from checkpoint"
+                 + (f", {status.resumed} restored from store"
                     if status.resumed else ""))
     if status.truncated_tail:
         lines.append(f"  ({status.truncated_tail} in-flight journal line(s) "
@@ -273,7 +273,7 @@ def tail_journal(path: str, *, follow: bool = False,
     next poll, so following delivers every event exactly once and whole.
     Following ends when the journal records ``sweep.end``; a one-shot
     (non-follow) read ends at end-of-file, skipping a dangling partial
-    line the way the checkpoint reader does.
+    line the way :func:`~repro.obs.events.read_journal` does.
     """
     read_header(path)  # validate schema before streaming
     with open(path, encoding="utf-8") as stream:

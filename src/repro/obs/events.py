@@ -16,8 +16,8 @@ This module is that narrative's storage layer:
   its sinks; :data:`NULL_RECORDER` is the shared no-op for
   overhead-critical runs (emit collapses to a constant return);
 * :class:`EventJournal` — the durable JSONL sink, schema-versioned
-  ``repro.events/1`` with the same kill-9 discipline as
-  ``repro.checkpoint/1``: the header line is fsynced so a readable file is
+  ``repro.events/1`` with a kill-9 discipline: the header line is
+  fsynced so a readable file is
   never headerless, every event line is flushed immediately, and readers
   drop (and count) a crash-truncated **final** line while refusing
   corruption anywhere earlier;
@@ -62,7 +62,7 @@ WORKER_RESPAWN = "worker.respawn"      # dead/hung worker re-queued (resume)
 WORKER_HUNG_KILL = "worker.hung-kill"  # heartbeat-stale worker killed
 SUPERVISOR_TICK = "supervisor.tick"    # throttled per-shard progress/lag
 SUPERVISOR_BISECT = "supervisor.bisect"            # poison shard split
-SUPERVISOR_SALVAGE = "supervisor.salvage"          # checkpoint prefix recovered
+SUPERVISOR_SALVAGE = "supervisor.salvage"          # shard-store prefix recovered
 SUPERVISOR_QUARANTINE = "supervisor.quarantine"    # poison contract isolated
 
 # Pipeline (per worker, or the serial sweep).
@@ -70,7 +70,8 @@ PIPELINE_START = "pipeline.start"          # analyze_all over N addresses
 PIPELINE_END = "pipeline.end"              # analyze_all returned
 PIPELINE_QUARANTINE = "pipeline.quarantine"  # one contract quarantined
 
-# Checkpoint resume (restored counts, recovered truncations).
+# Store resume: an incremental analyze_all restored settled contracts.
+# The kind predates the store; renaming it would change repro.events/1.
 CHECKPOINT_RESUME = "checkpoint.resume"
 
 # Resilient RPC layer.
@@ -158,9 +159,9 @@ def total_order(events: Iterable[Event]) -> list[Event]:
 
 
 class EventJournal:
-    """Append-only JSONL sink with the ``repro.checkpoint/1`` durability
-    rules: fsynced header, one flushed line per event, crash-truncated
-    tails recoverable on read.
+    """Append-only JSONL sink with kill-9 durability rules: fsynced
+    header, one flushed line per event, crash-truncated tails
+    recoverable on read.
 
     Build with :meth:`create` (fresh file, truncates) or :meth:`append_to`
     (continue an existing journal — the parent re-opening its own file, or
@@ -316,9 +317,9 @@ def read_journal(path: str) -> JournalRead:
 
     A partial/garbled **final** line is dropped and counted in
     ``truncated_tail`` (the event it described is lost, never corrupted);
-    garbling anywhere earlier is real corruption and refuses loudly —
-    the same contract as ``repro.checkpoint/1``, which makes the journal
-    safe to read while a sweep is still appending to it.
+    garbling anywhere earlier is real corruption and refuses loudly,
+    which makes the journal safe to read while a sweep is still
+    appending to it.
     """
     header = read_header(path)
     with open(path, encoding="utf-8") as stream:

@@ -69,12 +69,9 @@ METRIC_HELP: dict[str, str] = {
     "pipeline.quarantined":
         "Contracts quarantined by the sweep instead of aborting it, "
         "per cause.",
-    "pipeline.resumed_contracts":
-        "Contracts restored from a checkpoint instead of re-analyzed.",
-    "pipeline.resumed_skips": "Dead addresses restored from a checkpoint.",
     "pipeline.store_restored_contracts":
         "Contracts restored from the durable store instead of re-analyzed "
-        "(survey --store --incremental).",
+        "(survey --store --incremental, or a respawned shard worker).",
     "pipeline.store_restored_skips":
         "Dead addresses restored from the durable store.",
     "proxy_check.emulation_failures":

@@ -1,7 +1,6 @@
 """The live ops HTTP surface: /metrics, /healthz, /progress.
 
-``survey --serve PORT`` (``--serve-obs`` is the deprecated spelling)
-starts an :class:`ObsServer` next to the sweep — a stdlib
+``survey --serve PORT`` starts an :class:`ObsServer` next to the sweep — a stdlib
 :class:`~http.server.ThreadingHTTPServer` on a daemon thread, zero
 dependencies, binding loopback by default.  Three routes:
 
@@ -41,9 +40,7 @@ def route_observability(path: str,
     """Answer one observability route, or ``None`` for an unknown path.
 
     The shared implementation behind both :class:`ObsServer` and the
-    ``repro serve`` daemon — the deprecation test for ``--serve-obs``
-    pins that both spellings serve byte-identical ``/metrics`` because
-    they both land here.
+    ``repro serve`` daemon, so both serve byte-identical ``/metrics``.
     """
     path = path.split("?", 1)[0]
     if path == "/metrics":

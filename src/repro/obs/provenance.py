@@ -25,7 +25,7 @@ those observations as a causal tree so a disagreement with ground truth
   count) a truncated **final** line and refuse earlier corruption.
 * :func:`render_trail` — the human-readable narrative behind
   ``repro explain``; :meth:`EvidenceTrail.digest` is the compact summary
-  embedded in serialized analyses so checkpoints and merged parallel
+  embedded in serialized analyses so stored, restored and merged parallel
   sweeps keep provenance.
 """
 

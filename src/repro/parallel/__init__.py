@@ -17,7 +17,7 @@ Public surface:
 Both sweep entry points accept ``events_path`` to write a
 ``repro.events/1`` flight-recorder journal (:mod:`repro.obs.events`) —
 the live feed behind ``repro status`` / ``repro tail`` and the
-``--serve-obs`` HTTP endpoints.
+``--serve`` HTTP endpoints.
 
 See ``docs/parallelism.md`` for the byte-identity guarantees per shard
 strategy and ``docs/robustness.md`` for the supervision failure model.

@@ -33,7 +33,7 @@ leans on.
 The multi-process path is no longer a bare ``Pool.map``: it delegates to
 the **sweep supervisor** (:mod:`repro.parallel.supervisor`), which
 launches one monitored process per shard, respawns dead or hung workers
-from their shard checkpoints, and bisects poison shards down to the
+from their shard stores, and bisects poison shards down to the
 single quarantinable contract.  Crash-free, the supervised sweep computes
 exactly what the pool did — same workers' code path, same merge — so
 every determinism guarantee above carries over unchanged.
@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.core.report import LandscapeReport
-from repro.landscape.checkpoint import SweepCheckpoint, shard_checkpoint_path
 from repro.landscape.merge import _COUNTER_FIELDS, merge_reports
 from repro.landscape.serialize import (
     analysis_to_dict,
@@ -87,18 +86,20 @@ def _world_for(spec: SweepSpec) -> Any:
 
 def _analyze_shard(proxion: Any, shard_index: int,
                    addresses: Sequence[bytes],
-                   checkpoint: Any) -> dict[str, Any]:
+                   on_settled: Callable[[int], None] | None = None,
+                   ) -> dict[str, Any]:
     """Analyze one shard and shape the result as a JSON-able wire dict.
 
-    Shared by the pool-era worker (:func:`_run_shard`) and the
-    supervisor's monitored worker — everything in the return value is
+    Shared by the in-process worker (:func:`_run_shard`) and the
+    supervisor's monitored worker, which passes its heartbeat as
+    ``on_settled`` — everything in the return value is
     plain JSON-able data, and the parent reconstructs the partial report
     through the exact serialization round-trip, which is what makes the
     merge byte-faithful.
     """
     wall_start = time.perf_counter()
     cpu_start = time.process_time()
-    report = proxion.analyze_all(addresses, checkpoint=checkpoint)
+    report = proxion.analyze_all(addresses, on_settled=on_settled)
     return {
         "shard": shard_index,
         "addresses": len(addresses),
@@ -117,18 +118,14 @@ def _analyze_shard(proxion: Any, shard_index: int,
 def _run_shard(task: tuple, events=None) -> dict[str, Any]:
     """In-process worker: analyze one shard, return a pickle-able dict.
 
-    Still the backbone of the sequential (``processes=False``) path; the
-    supervised path runs the same :func:`_analyze_shard` core behind a
-    heartbeat-wrapped checkpoint instead.  ``events`` (an
+    ``task`` is ``(spec, shard_index, addresses, audit_dir, store_spec)``.
+    The backbone of the sequential (``processes=False``) path; the
+    supervised path runs the same :func:`_analyze_shard` core with a
+    heartbeat.  ``events`` (an
     :class:`~repro.obs.events.EventRecorder`, sequential path only) lets
     the in-process shards narrate into the caller's flight recorder.
     """
-    # The sixth/seventh slots (audit_dir, store_spec) are optional so
-    # pre-provenance 5-tuples keep working (older checkpoint drivers,
-    # the pool-era tests).
-    spec, shard_index, addresses, checkpoint_path, resume, *rest = task
-    audit_dir = rest[0] if rest else None
-    store_spec = rest[1] if len(rest) > 1 else None
+    spec, shard_index, addresses, audit_dir, store_spec = task
     world = _world_for(spec)
     binding = None
     if store_spec is not None:
@@ -136,19 +133,9 @@ def _run_shard(task: tuple, events=None) -> dict[str, Any]:
         binding = open_worker_binding(store_spec, shard_index)
     proxion = spec.build_proxion(world, events=events, audit=audit_dir,
                                  store=binding)
-
-    checkpoint: SweepCheckpoint | None = None
-    if checkpoint_path is not None:
-        path = shard_checkpoint_path(checkpoint_path, shard_index)
-        if resume and os.path.exists(path):
-            checkpoint = SweepCheckpoint.resume(path, addresses)
-        else:
-            checkpoint = SweepCheckpoint.start(path, addresses)
     try:
-        return _analyze_shard(proxion, shard_index, addresses, checkpoint)
+        return _analyze_shard(proxion, shard_index, addresses)
     finally:
-        if checkpoint is not None:
-            checkpoint.close()
         if binding is not None:
             binding.close()
 
@@ -306,8 +293,6 @@ def run_sharded_sweep(spec: SweepSpec, *,
                       workers: int = 4,
                       strategy: str = "codehash",
                       addresses: Sequence[bytes] | None = None,
-                      checkpoint_path: str | None = None,
-                      resume: bool = False,
                       world: Any = None,
                       processes: bool = True,
                       progress: Callable[[str], None] | None = None,
@@ -322,9 +307,7 @@ def run_sharded_sweep(spec: SweepSpec, *,
     ``world`` (optional) is a pre-generated landscape matching ``spec`` —
     passed by callers that already hold one (the CLI, the bench harness)
     so the parent does not regenerate it.  ``addresses`` defaults to the
-    world's full address list.  ``checkpoint_path`` is the *base* path;
-    each shard keeps its own ``.shardNN`` file and resumes independently
-    when ``resume`` is set.  ``processes=False`` runs the shards
+    world's full address list.  ``processes=False`` runs the shards
     sequentially in this process (identical results, no worker
     processes); ``processes=True`` runs them under the sweep supervisor,
     tuned by ``supervise`` (a
@@ -341,14 +324,14 @@ def run_sharded_sweep(spec: SweepSpec, *,
 
     ``store_path`` binds the sweep to a durable ``repro.store/1``
     database (:mod:`repro.store`): the parent opens (or creates,
-    quarantining corruption) the main store, each worker writes a
-    private ``PATH.shardNN`` store — single writer per file, the
-    checkpoint idiom — and the parent folds the shard stores back after
-    the merge.  With ``incremental`` the parent first restores every
-    instance the store has already settled (validating stored codehashes
-    against the live code) and dispatches only the pending delta; the
-    merged report is byte-identical to a from-scratch sweep of the same
-    corpus.
+    quarantining corruption) the main store, each shard writes its own
+    ``PATH.shardNN`` store, and the parent folds the shard stores back
+    after the merge.  With ``incremental`` the parent first restores
+    every instance the store has already settled (validating stored
+    codehashes against the live code) and dispatches only the pending
+    delta; the merged report is byte-identical to a from-scratch sweep
+    of the same corpus.  ``--store PATH --incremental`` is therefore
+    also how a killed sweep resumes.
     """
     wall_start = time.perf_counter()
     say = progress or (lambda message: None)
@@ -400,9 +383,9 @@ def run_sharded_sweep(spec: SweepSpec, *,
         from repro.parallel.supervisor import run_supervised_sweep
         result = run_supervised_sweep(
             spec, workers=workers, strategy=strategy, addresses=pending,
-            checkpoint_path=checkpoint_path, resume=resume, world=world,
-            config=supervise, progress=progress, events_path=events_path,
-            audit_dir=audit_dir, store_spec=store_spec)
+            world=world, config=supervise, progress=progress,
+            events_path=events_path, audit_dir=audit_dir,
+            store_spec=store_spec)
         if store is not None:
             result = _fold_store(result, store, restored, addresses,
                                  code_of, spec, workers, store_path, say)
@@ -410,8 +393,7 @@ def run_sharded_sweep(spec: SweepSpec, *,
 
     partitions = shard_addresses(pending, workers, strategy,
                                  code_of=code_of)
-    tasks = [(spec, index, partition, checkpoint_path, resume, audit_dir,
-              store_spec)
+    tasks = [(spec, index, partition, audit_dir, store_spec)
              for index, partition in enumerate(partitions)]
     say(f"sweeping {len(pending)} contracts across {workers} "
         f"shard(s), strategy={strategy}")

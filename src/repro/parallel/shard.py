@@ -2,7 +2,7 @@
 
 Two strategies, both pure functions of the address list (and, for
 ``codehash``, the deployed code), so the same inputs always produce the
-same partition — a prerequisite for per-shard checkpoint resume:
+same partition — a prerequisite for per-shard resume:
 
 ``roundrobin``
     Address *i* goes to shard ``i % shards``.  Perfectly balanced counts,

@@ -7,16 +7,18 @@ This module replaces the pool with a **supervisor**: per-shard worker
 processes launched individually, each with
 
 * a **heartbeat channel** — the worker pings a ``multiprocessing`` queue
-  once at startup and once per completed contract (hooked into its shard
-  checkpoint), so the parent always knows how stale every worker is;
+  once at startup and once per settled contract (the pipeline's
+  ``on_settled`` callback), so the parent always knows how stale every
+  worker is;
 * a **monitor loop** — the parent detects dead workers by ``exitcode``
   and hung workers by heartbeat age (``shard_timeout_s``), kills the hung
   ones, and respawns either kind *resuming from the shard's own
-  ``repro.checkpoint/1`` file* (every supervised shard keeps one, in a
-  private temp directory when the caller did not ask for checkpoints);
+  ``repro.store/1`` shard store* (every supervised shard writes one: the
+  caller's ``PATH.shardNN`` under ``--store``, otherwise a throwaway one
+  in a private temp directory), which commits once per contract;
 * **poison-shard bisection** — a shard that keeps sinking its worker past
-  ``max_shard_retries`` is salvaged (completed prefix recovered from its
-  checkpoint, tolerating a crash-truncated tail) and its *pending* suffix
+  ``max_shard_retries`` is salvaged (committed prefix restored from its
+  shard store) and its *pending* suffix
   is split in two; each half gets a fresh retry budget, recursively, until
   the crash is pinned to a single contract, which is quarantined as a
   cause-classified ``worker-crash`` :class:`~repro.core.report.ContractFailure`
@@ -42,7 +44,7 @@ respawn, hung-kill, bisection and quarantine, plus a throttled
 ``supervisor.tick`` per live worker carrying completed-count and
 heartbeat lag (the raw feed of ``repro status`` / ``/healthz``).  Each
 worker keeps a *private* per-attempt journal in the supervisor's
-workdir — narrating its pipeline starts, checkpoint resumes, contract
+workdir — narrating its pipeline starts, shard-store resumes, contract
 quarantines and breaker trips from inside the process — and when the
 worker is reaped (cleanly or not) the parent folds that file into the
 parent journal over the same crash-safe channel as results; readers
@@ -51,11 +53,13 @@ recover the total order from the events' monotonic timestamps.
 
 from __future__ import annotations
 
+import itertools
 import json
 import multiprocessing
 import os
 import queue as queue_module
 import shutil
+import sqlite3
 import tempfile
 import time
 from collections import deque
@@ -64,11 +68,18 @@ from typing import Any, Callable, Sequence
 
 from repro.errors import ConfigurationError, WorkerCrash, classify_cause
 from repro.core.report import ContractFailure
-from repro.landscape.checkpoint import SweepCheckpoint, shard_checkpoint_path
 from repro.landscape.merge import _COUNTER_FIELDS
 from repro.landscape.serialize import analysis_to_dict, failure_to_dict
 from repro.obs import events as ev
 from repro.obs.events import EventJournal, EventRecorder, NULL_RECORDER
+# Imported in the parent so forked workers inherit the module instead of
+# each paying its import.
+from repro.store.binding import (
+    open_worker_binding,
+    restore_instances,
+    shard_store_path,
+)
+from repro.store.store import AnalysisStore
 
 
 @dataclass(slots=True)
@@ -111,58 +122,6 @@ class SupervisionStats:
     max_heartbeat_lag_s: float = 0.0
 
 
-class _HeartbeatCheckpoint:
-    """A checkpoint decorator that pings the supervisor per contract.
-
-    Wraps the worker's real :class:`SweepCheckpoint`: every record is
-    written through (durability first), then one heartbeat is emitted
-    carrying the completed-count so far — the parent uses it both for
-    staleness detection and for the per-shard progress it journals in
-    ``supervisor.tick`` events.  The restore surface is delegated so
-    ``analyze_all`` sees a normal checkpoint.
-    """
-
-    def __init__(self, inner: SweepCheckpoint,
-                 beat: Callable[[int], None]) -> None:
-        self._inner = inner
-        self._beat = beat
-
-    # Restore surface (read by analyze_all on resume).
-    @property
-    def completed(self):
-        return self._inner.completed
-
-    @property
-    def skipped(self):
-        return self._inner.skipped
-
-    @property
-    def recovered_truncations(self) -> int:
-        return self._inner.recovered_truncations
-
-    def restored_analyses(self):
-        return self._inner.restored_analyses()
-
-    def restored_failures(self):
-        return self._inner.restored_failures()
-
-    # Recording surface (one heartbeat per completed contract).
-    def record_analysis(self, analysis) -> None:
-        self._inner.record_analysis(analysis)
-        self._beat(len(self._inner.completed))
-
-    def record_failure(self, failure) -> None:
-        self._inner.record_failure(failure)
-        self._beat(len(self._inner.completed))
-
-    def record_skip(self, address: bytes) -> None:
-        self._inner.record_skip(address)
-        self._beat(len(self._inner.completed))
-
-    def close(self) -> None:
-        self._inner.close()
-
-
 def _supervised_worker(task: tuple, heartbeat_queue) -> None:
     """Worker entry point: analyze one task, write its result atomically.
 
@@ -170,7 +129,9 @@ def _supervised_worker(task: tuple, heartbeat_queue) -> None:
     ``os.replace``\\ d), not through a queue: a worker killed mid-transfer
     must never corrupt the parent's channel, and an ``os._exit`` mid-write
     leaves only an invisible temp file.  The heartbeat queue carries only
-    ``(task_id, completed_count)`` — small enough for atomic pipe writes.
+    ``(task_id, settled_count)`` — small enough for atomic pipe writes.
+    The pipeline beats once per settled contract, after its store commit,
+    whether or not the shard store could be opened.
 
     ``events_path`` (optional) names this attempt's *private*
     flight-recorder journal: the worker narrates its pipeline and breaker
@@ -179,28 +140,28 @@ def _supervised_worker(task: tuple, heartbeat_queue) -> None:
     ``os._exit`` or SIGKILL loses at most one half-written line, which
     the tail-tolerant reader drops.
 
-    ``audit_dir`` (optional, last tuple slot) is the *shared* verdict
+    ``audit_dir`` (optional) is the *shared* verdict
     provenance directory: the worker writes one atomic
     ``repro.evidence/1`` file per contract straight into it.  No folding
     needed — shards partition addresses, so each contract has exactly
     one writer, and a respawned attempt simply rewrites the files for
-    contracts it re-analyzes (checkpoint-restored contracts keep the
+    contracts it re-analyzes (store-restored contracts keep the
     evidence the dead attempt already persisted).
 
-    ``store_spec`` (optional, last tuple slot) is the durable-store
-    binding spec ``(main_store_path, incremental)``: the worker writes
-    analysis facts through to its *own* ``PATH.shardNN`` store (single
-    writer per file — the parent folds shard stores after the merge) and,
-    when incremental, warms its caches read-only from the main store.
+    ``store_spec`` is the durable-store binding spec
+    ``(main_store_path, incremental)``: the worker writes analysis facts
+    and per-contract rows through to its shard's ``PATH.shardNN`` store,
+    restores from it what a dead predecessor committed and, when
+    incremental, warms its caches read-only from the main store.
     Bisected halves of one shard share the shard store; SQLite WAL plus
     the 30s busy timeout absorbs that concurrency.
     """
-    (spec, task_id, shard_index, addresses, checkpoint_path, resume,
-     result_path, events_path, audit_dir, store_spec) = task
+    (spec, task_id, shard_index, addresses, result_path, events_path,
+     audit_dir, store_spec) = task
 
-    def beat(completed: int = 0) -> None:
+    def beat(settled: int = 0) -> None:
         try:
-            heartbeat_queue.put((task_id, completed))
+            heartbeat_queue.put((task_id, settled))
         except (OSError, ValueError):
             pass  # parent gone; finishing the shard is still useful
 
@@ -216,27 +177,17 @@ def _supervised_worker(task: tuple, heartbeat_queue) -> None:
     try:
         try:
             world = _world_for(spec)
-            if store_spec is not None:
-                from repro.store.binding import open_worker_binding
-                binding = open_worker_binding(store_spec, shard_index)
+            binding = open_worker_binding(store_spec, shard_index)
             proxion = spec.build_proxion(world, events=events,
                                          audit=audit_dir, store=binding)
             beat()  # world built, analysis starting
-
-            if resume and os.path.exists(checkpoint_path):
-                inner = SweepCheckpoint.resume(checkpoint_path, addresses)
-            else:
-                inner = SweepCheckpoint.start(checkpoint_path, addresses)
-            checkpoint = _HeartbeatCheckpoint(inner, beat)
-            try:
-                result = _analyze_shard(proxion, shard_index, addresses,
-                                        checkpoint)
-            finally:
-                checkpoint.close()
+            result = _analyze_shard(proxion, shard_index, addresses,
+                                    on_settled=beat)
         except ConfigurationError as error:
-            # Misconfiguration (e.g. a mismatched checkpoint fingerprint) is
-            # NOT a crash: respawning or bisecting would silently "heal" an
-            # operator mistake.  Ship it to the parent, which fails loudly.
+            # Misconfiguration (e.g. an unknown fault plan, a store of a
+            # foreign schema) is NOT a crash: respawning or bisecting
+            # would silently "heal" an operator mistake.  Ship it to the
+            # parent, which fails loudly.
             result = {"fatal": str(error)}
     finally:
         if binding is not None:
@@ -257,8 +208,6 @@ class _Task:
     task_id: int
     shard: int                   # original shard index (stats/merge key)
     addresses: list[bytes]
-    checkpoint_path: str
-    resume: bool
     attempts: int = 0            # failed launches of this task so far
     depth: int = 0               # bisection depth (0 = root shard)
 
@@ -269,7 +218,7 @@ class _Running:
     task: _Task
     last_beat: float
     events_path: str | None = None   # this attempt's private journal
-    completed: int = 0               # last heartbeat's completed-count
+    completed: int = 0               # last heartbeat's settled count
 
 
 def _empty_result(shard: int) -> dict[str, Any]:
@@ -285,37 +234,37 @@ def _empty_result(shard: int) -> dict[str, Any]:
     }
 
 
-def _salvage(task: _Task) -> tuple[dict[str, Any], set[bytes]]:
-    """Recover a failed task's completed prefix from its checkpoint.
+def _salvage(task: _Task, store_path: str,
+             code_of: Callable[[bytes], bytes],
+             ) -> tuple[dict[str, Any], set[bytes]]:
+    """Recover a failed task's committed prefix from its shard store.
 
-    Returns a partial result dict (possibly empty) plus the completed
-    address set (skips included).  Tolerates everything a crash can leave
-    behind — missing file, headerless file, truncated tail — because this
-    runs precisely after workers died ungracefully.
+    Returns a partial result dict (possibly empty) plus the settled
+    address set (skips included).  Runs precisely after workers died
+    ungracefully, so a shard store that is missing or unreadable simply
+    salvages nothing: its contracts are re-analyzed.
     """
+    result = _empty_result(task.shard)
+    path = shard_store_path(store_path, task.shard)
+    if not os.path.exists(path):
+        return result, set()
     try:
-        checkpoint = SweepCheckpoint.resume(task.checkpoint_path,
-                                            task.addresses)
-    except (ConfigurationError, OSError):
-        return _empty_result(task.shard), set()
-    try:
-        result = _empty_result(task.shard)
-        result["analyses"] = [analysis_to_dict(analysis)
-                              for analysis in checkpoint.restored_analyses()]
-        result["failures"] = [failure_to_dict(failure)
-                              for failure in checkpoint.restored_failures()]
-        completed = set(checkpoint.completed)
-    finally:
-        checkpoint.close()
-    return result, completed
+        with AnalysisStore(path) as store:
+            restored = restore_instances(store, task.addresses, code_of)
+    except (sqlite3.Error, OSError, ValueError):
+        # ValueError covers ConfigurationError and garbled JSON rows.
+        return result, set()
+    result["analyses"] = [analysis_to_dict(analysis)
+                          for analysis in restored.analyses]
+    result["failures"] = [failure_to_dict(failure)
+                          for failure in restored.failures]
+    return result, restored.completed
 
 
 def run_supervised_sweep(spec, *,
                          workers: int = 4,
                          strategy: str = "codehash",
                          addresses: Sequence[bytes] | None = None,
-                         checkpoint_path: str | None = None,
-                         resume: bool = False,
                          world: Any = None,
                          config: SupervisorConfig | None = None,
                          progress: Callable[[str], None] | None = None,
@@ -327,20 +276,23 @@ def run_supervised_sweep(spec, *,
     The drop-in process backend of
     :func:`repro.parallel.engine.run_sharded_sweep` — same parameters plus
     ``config`` and ``events_path``.  ``events_path``, when set, is where
-    the merged ``repro.events/1`` flight-recorder journal is written
-    (typically next to the checkpoint); ``repro status`` / ``repro tail``
+    the merged ``repro.events/1`` flight-recorder journal is written;
+    ``repro status`` / ``repro tail``
     and the ``/healthz`` probe read it live.  ``audit_dir``, when set,
     turns on verdict provenance: every worker attaches an
     :class:`~repro.obs.provenance.AuditDir` over that shared directory
     and persists one evidence file per contract — atomically, so crashed
     attempts never leave a corrupt file, and respawn/bisection replays
     only rewrite what they re-analyze.  ``store_spec``
-    (``(main_store_path, incremental)``, optional) wires each worker to
-    a durable analysis store: workers write facts to their own
-    ``PATH.shardNN`` stores (the parent — ``run_sharded_sweep`` — folds
-    them back into the main store after the merge, the checkpoint idiom).
-    Returns the same :class:`~repro.parallel.engine.ShardedSweepResult`
-    (with its supervision fields populated).
+    (``(main_store_path, incremental)``, optional) names the caller's
+    durable analysis store: workers write through to its
+    ``PATH.shardNN`` shard stores (the parent — ``run_sharded_sweep`` —
+    folds them back into the main store after the merge).  Without one,
+    the shard stores live in a private temp directory and are discarded
+    with it.  Either way a respawned or bisected task resumes from its
+    shard store.  Returns the same
+    :class:`~repro.parallel.engine.ShardedSweepResult` (with its
+    supervision fields populated).
     """
     # Imported here, not at module top: engine imports this module lazily
     # and the two would otherwise be circular.
@@ -384,14 +336,13 @@ def run_supervised_sweep(spec, *,
                 strategy=strategy, chaos=spec.chaos,
                 timeout_s=config.shard_timeout_s)
 
-    # Every supervised shard checkpoints — respawn-with-resume depends on
-    # it.  Callers that did not ask for durable checkpoints get throwaway
-    # ones in a private temp directory.
+    # Every supervised shard writes through a shard store — respawns
+    # resume from it.  Callers without a store of their own get a
+    # throwaway one in a private temp directory.
     workdir = tempfile.mkdtemp(prefix="repro-supervised-")
-    if checkpoint_path is not None:
-        base = checkpoint_path
-    else:
-        base = os.path.join(workdir, "sweep.ckpt")
+    if store_spec is None:
+        store_spec = (os.path.join(workdir, "sweep.store"), False)
+    store_path = store_spec[0]
 
     methods = multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context(
@@ -399,25 +350,16 @@ def run_supervised_sweep(spec, *,
     heartbeats = context.Queue()
 
     stats = SupervisionStats()
-    next_task_id = 0
+    task_ids = itertools.count()
 
     def new_task(shard: int, task_addresses: list[bytes],
-                 path: str | None = None, *, resume_task: bool = False,
                  depth: int = 0) -> _Task:
-        nonlocal next_task_id
-        task_id = next_task_id
-        next_task_id += 1
-        if path is None:
-            path = f"{base}.task{task_id:03d}"
-        return _Task(task_id=task_id, shard=shard,
-                     addresses=task_addresses, checkpoint_path=path,
-                     resume=resume_task, depth=depth)
+        return _Task(task_id=next(task_ids), shard=shard,
+                     addresses=task_addresses, depth=depth)
 
-    pending: deque[_Task] = deque()
-    for index, partition in enumerate(partitions):
-        pending.append(new_task(index, list(partition),
-                                shard_checkpoint_path(base, index),
-                                resume_task=resume))
+    pending: deque[_Task] = deque(
+        new_task(index, list(partition))
+        for index, partition in enumerate(partitions))
 
     running: dict[int, _Running] = {}
     results: list[dict[str, Any]] = []
@@ -437,8 +379,8 @@ def run_supervised_sweep(spec, *,
                 workdir,
                 f"task{task.task_id:03d}.a{task.attempts}.events.jsonl")
         payload = (spec, task.task_id, task.shard, task.addresses,
-                   task.checkpoint_path, task.resume, result_path_of(task),
-                   worker_events, audit_dir, store_spec)
+                   result_path_of(task), worker_events, audit_dir,
+                   store_spec)
         process = context.Process(target=_supervised_worker,
                                   args=(payload, heartbeats), daemon=True)
         process.start()
@@ -504,7 +446,7 @@ def run_supervised_sweep(spec, *,
 
     def escalate(task: _Task, error: WorkerCrash) -> None:
         """Past the retry budget: salvage, then bisect or quarantine."""
-        salvaged, completed = _salvage(task)
+        salvaged, completed = _salvage(task, store_path, code_of)
         if salvaged["analyses"] or salvaged["failures"]:
             results.append(salvaged)
             events.emit(ev.SUPERVISOR_SALVAGE, shard=task.shard,
@@ -532,8 +474,7 @@ def run_supervised_sweep(spec, *,
     def on_failure(task: _Task, error: WorkerCrash) -> None:
         task.attempts += 1
         if task.attempts <= config.max_shard_retries:
-            stats.respawns += 1
-            task.resume = True  # pick up from the shard's own checkpoint
+            stats.respawns += 1  # the respawn resumes from the shard store
             events.emit(ev.WORKER_RESPAWN, shard=task.shard,
                         task=task.task_id, attempt=task.attempts,
                         error=str(error))
@@ -543,24 +484,27 @@ def run_supervised_sweep(spec, *,
         else:
             escalate(task, error)
 
+    def drain_heartbeats() -> None:
+        """Apply queued heartbeats (stale task ids — from workers already
+        collected or killed — are simply ignored)."""
+        while True:
+            try:
+                task_id, completed = heartbeats.get_nowait()
+            except queue_module.Empty:
+                return
+            worker = running.get(task_id)
+            if worker is not None:
+                worker.last_beat = time.monotonic()
+                if completed > worker.completed:
+                    worker.completed = completed
+
     last_tick = time.monotonic()
     try:
         while pending or running:
             while pending and len(running) < workers:
                 launch(pending.popleft())
 
-            # Drain heartbeats (stale task ids — from workers already
-            # collected or killed — are simply ignored).
-            while True:
-                try:
-                    task_id, completed = heartbeats.get_nowait()
-                except queue_module.Empty:
-                    break
-                worker = running.get(task_id)
-                if worker is not None:
-                    worker.last_beat = time.monotonic()
-                    if completed > worker.completed:
-                        worker.completed = completed
+            drain_heartbeats()
 
             now = time.monotonic()
             if (events.enabled and running
@@ -578,6 +522,9 @@ def run_supervised_sweep(spec, *,
                 process, task = worker.process, worker.task
                 exitcode = process.exitcode
                 if exitcode is not None:
+                    # A worker's last beats may land after the drain
+                    # above; an exited writer has flushed them.
+                    drain_heartbeats()
                     process.join()
                     del running[task_id]
                     ingest_worker_journal(worker)
@@ -624,9 +571,9 @@ def run_supervised_sweep(spec, *,
             worker.process.join()
         heartbeats.close()
         heartbeats.join_thread()
-        # Result files are transient either way; durable checkpoints (when
-        # the caller asked for them) live under ``checkpoint_path``, not
-        # here, and survive.
+        # Result files, worker journals and throwaway shard stores are
+        # transient; a caller's ``PATH.shardNN`` stores live beside
+        # ``PATH`` and are folded by ``run_sharded_sweep``.
         shutil.rmtree(workdir, ignore_errors=True)
 
     results.sort(key=lambda result: result["shard"])

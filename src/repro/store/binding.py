@@ -51,12 +51,12 @@ def _default_warn(message: str) -> None:
 
 
 def shard_store_path(path: str, shard: int) -> str:
-    """The per-shard store of a parallel sweep (the checkpoint idiom).
+    """The per-shard store of a parallel sweep.
 
-    Workers of a sharded sweep never share a writable database: shard
-    ``N`` writes ``PATH.shardNN`` exclusively, and the parent folds the
-    shard stores into ``PATH`` after the workers exit
-    (:meth:`AnalysisStore.merge_from`).
+    Workers of different shards never share a writable database: shard
+    ``N`` writes ``PATH.shardNN``, a respawned worker resumes from it,
+    and the parent folds the shard stores into ``PATH`` after the
+    workers exit (:meth:`AnalysisStore.merge_from`).
     """
     return f"{path}.shard{shard:02d}"
 
@@ -328,11 +328,13 @@ def open_worker_binding(store_spec: tuple[str, bool] | None,
 
     The worker *reads* hash-keyed facts from the main store (when the
     sweep is incremental — WAL lets it share the file with the parent's
-    reader) but *writes* exclusively to its own
-    :func:`shard_store_path` database, upholding the
-    single-writer-per-shard discipline; the parent merges afterwards.
-    Instance restore stays in the parent (it partitions the pending
-    addresses), so worker bindings are never ``incremental``.
+    reader) but *writes* only to its own :func:`shard_store_path`
+    database; the parent merges afterwards.  The binding is
+    ``incremental`` over the shard store: a first attempt finds it empty
+    (the parent salvages stale shard stores before dispatch), a
+    respawned attempt restores the committed prefix of the attempt that
+    died.  The main store's instances are restored by the parent, which
+    dispatches only the pending addresses.
     """
     if store_spec is None:
         return None
@@ -362,7 +364,7 @@ def open_worker_binding(store_spec: tuple[str, bool] | None,
         except Exception as error:
             warn(f"store: cannot hydrate warm facts from {path!r} "
                  f"({error}) — shard {shard_index} sweeps cold")
-    return StoreBinding(store, incremental=False, facts=facts, warn=warn)
+    return StoreBinding(store, incremental=True, facts=facts, warn=warn)
 
 
 # ------------------------------------------------------- incremental restore
@@ -382,7 +384,6 @@ class RestoredInstances:
 def restore_instances(store: AnalysisStore,
                       addresses: Sequence[bytes],
                       code_of: Callable[[bytes], bytes],
-                      already: frozenset[bytes] | set[bytes] = frozenset(),
                       ) -> RestoredInstances:
     """Re-survey a corpus against the store, trusting only verified rows.
 
@@ -391,16 +392,13 @@ def restore_instances(store: AnalysisStore,
     analysis is restored only for a byte-identical deployment, a stored
     skip only for a still-code-less address.  Anything else is left to
     the live sweep, so corpus mutation degrades to re-analysis, never to
-    stale results.  ``already`` (e.g. checkpoint-restored addresses)
-    are skipped outright.
+    stale results.
     """
     records = store.load_analyses()
     failures = store.load_failures()
     skips = store.load_skips()
     restored = RestoredInstances()
     for address in addresses:
-        if address in already:
-            continue
         record = records.get(address)
         if record is not None:
             code = code_of(address)
@@ -413,9 +411,9 @@ def restore_instances(store: AnalysisStore,
             continue
         failure = failures.get(address)
         if failure is not None:
-            # Failures restore unconditionally, mirroring checkpoint
-            # resume: a quarantined contract stays quarantined until the
-            # operator re-sweeps without --incremental.
+            # Failures restore unconditionally: a quarantined contract
+            # stays quarantined until the operator re-sweeps without
+            # --incremental.
             restored.failures.append(failure)
             restored.completed.add(address)
             continue

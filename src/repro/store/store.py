@@ -285,7 +285,7 @@ class AnalysisStore:
         self._connection.commit()
 
     def merge_from(self, shard_path: str) -> None:
-        """Fold one shard store into this one (the checkpoint idiom).
+        """Fold one shard store into this one.
 
         The parent of a parallel sweep merges each worker's
         ``PATH.shardNN`` store after the workers exit — single writer per

@@ -9,6 +9,7 @@ import pytest
 from repro.core.pipeline import Proxion
 from repro.landscape.serialize import (
     analysis_to_dict,
+    dict_to_analysis,
     report_to_dict,
     report_to_json,
 )
@@ -33,6 +34,14 @@ def test_summary_counters_match(sweep) -> None:
     assert data["function_collision_pairs"] == sweep.function_collision_pairs()
     assert data["storage_collision_pairs"] == sweep.storage_collision_pairs()
     assert sum(data["standards"].values()) == len(sweep.proxies())
+
+
+def test_dict_round_trip_guarantee(sweep) -> None:
+    """What store restore and the shard merge rest on: a restored
+    analysis serializes exactly like the original."""
+    for analysis in list(sweep.analyses.values())[:8]:
+        record = analysis_to_dict(analysis)
+        assert analysis_to_dict(dict_to_analysis(record)) == record
 
 
 def test_addresses_are_hex_strings(sweep) -> None:

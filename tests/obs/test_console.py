@@ -93,7 +93,7 @@ def test_render_status_live_and_finished(tmp_path) -> None:
         _write(tmp_path / "live.jsonl", *LIVE_ROWS), now_mono=13.0))
     assert "sweep running — 8/20 contracts across 2 shard(s)" in live
     assert "1 respawns" in live and "1 bisections" in live
-    assert "3 restored from checkpoint" in live
+    assert "3 restored from store" in live
     assert "bisecting" in live
     done = render_status(journal_snapshot(_write(
         tmp_path / "done.jsonl", *LIVE_ROWS,

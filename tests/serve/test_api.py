@@ -90,7 +90,6 @@ def test_schema_registry_pins_every_wire_format() -> None:
     assert sorted(api.SCHEMA_REGISTRY) == [
         "repro.bench-row/1",
         "repro.bench/1",
-        "repro.checkpoint/1",
         "repro.events/1",
         "repro.evidence/1",
         "repro.query/1",

@@ -134,7 +134,7 @@ def test_rate_limit_sheds_429_with_retry_after(svc_store,
         assert app.metrics.counter_total("serve.throttled") >= 3
 
 
-# ----------------------------------------------- --serve / --serve-obs alias
+# ------------------------------------------------------------ survey --serve
 def test_survey_serve_flag_announces_url(tmp_path, capsys) -> None:
     journal = str(tmp_path / "sweep.events.jsonl")
     assert main(["survey", "--total", "20", "--seed", "3",
@@ -145,24 +145,11 @@ def test_survey_serve_flag_announces_url(tmp_path, capsys) -> None:
     assert "deprecated" not in output.err
 
 
-def test_serve_obs_is_a_deprecated_alias_of_serve(tmp_path, capsys) -> None:
-    # Same port through both spellings: one server, plus a stderr note.
-    assert main(["survey", "--total", "20", "--seed", "3",
-                 "--serve", "0", "--serve-obs", "0"]) == 0
-    output = capsys.readouterr()
-    assert "--serve-obs is deprecated" in output.err
-    assert output.out.count("obs: serving") == 1
-    # Conflicting ports are a configuration error, not a guess.
-    assert main(["survey", "--total", "20",
-                 "--serve", "8001", "--serve-obs", "8002"]) == 2
-    assert "pass --serve only" in capsys.readouterr().err
-
-
 def test_both_spellings_route_identically(app) -> None:
-    # --serve and --serve-obs construct the same ObsServer, whose routes
-    # delegate to route_observability — the same shared handler ServeApp
-    # mounts.  Equality of the function's output with the daemon's live
-    # /metrics body is what makes the spellings byte-identical.
+    # survey --serve constructs an ObsServer, whose routes delegate to
+    # route_observability — the same shared handler ServeApp mounts.
+    # Equality of the function's output with the daemon's live /metrics
+    # body is what makes the two servers byte-identical.
     from repro.obs.http import route_observability
 
     status, content_type, text = route_observability(

@@ -93,6 +93,79 @@ def test_fully_settled_resweep_does_no_emulation(tmp_path, world,
     assert counters.get('dedup.misses{cache="proxy_check"}', 0) == 0
 
 
+def test_settled_store_resumes_in_any_address_order(tmp_path, world
+                                                     ) -> None:
+    """Resume is keyed by address and codehash, not list position: a
+    settled store resumed over the reversed address list equals a cold
+    sweep of the reversed list, ``summary.dedup`` included."""
+    path = str(tmp_path / "settled.store")
+    with attach_store(path) as binding:
+        _sweep(world, binding)
+    reversed_addresses = world.addresses()[::-1]
+    cold, _ = _sweep(world, None, reversed_addresses)
+    with attach_store(path, incremental=True) as binding:
+        resumed, _ = _sweep(world, binding, reversed_addresses)
+    assert report_to_json(resumed) == report_to_json(cold)
+
+
+def test_restored_dead_skip_issues_no_liveness_probe(tmp_path) -> None:
+    """A stored §3.1 skip restores without re-probing liveness and counts
+    in ``pipeline.store_restored_skips``, apart from restored contracts."""
+    world = generate_landscape(total=30, seed=3)
+    dead = b"\xde\xad" + b"\x00" * 18          # never deployed: no code
+    addresses = world.addresses() + [dead]
+    path = str(tmp_path / "skips.store")
+    with attach_store(path) as binding:
+        first, _ = _sweep(world, binding, addresses)
+    assert dead not in first.analyses and dead not in first.failures
+
+    with attach_store(path, incremental=True) as binding:
+        resumer = Proxion.from_chain(world.chain, registry=world.registry,
+                                     dataset=world.dataset, store=binding)
+        probes: list[bytes] = []
+        is_alive = resumer.node.is_alive
+        resumer.node.is_alive = (               # spy: count liveness probes
+            lambda address: probes.append(address) or is_alive(address))
+        second = resumer.analyze_all(addresses)
+    assert probes == []
+    assert resumer.node.api_calls.get("eth_getCode") == 0
+    assert report_to_json(second) == report_to_json(first)
+    counters = resumer.metrics.snapshot()["counters"]
+    restored = len(first.analyses) + len(first.failures)
+    assert counters["pipeline.store_restored_contracts"] == restored
+    assert counters["pipeline.store_restored_skips"] \
+        == len(addresses) - restored
+
+
+def test_store_binding_adds_no_keccak_calls(tmp_path, world,
+                                            monkeypatch) -> None:
+    """Each bytecode is hashed once: the store's selector cache is keyed
+    by the codehash the pipeline already holds, so a sweep with a fresh
+    store makes exactly as many keccak256 calls as one without."""
+    import sys
+
+    from repro.utils import keccak as keccak_module
+
+    original = keccak_module.keccak256
+    calls = [0]
+
+    def counting(data: bytes) -> bytes:
+        calls[0] += 1
+        return original(data)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") \
+                and getattr(module, "keccak256", None) is original:
+            monkeypatch.setattr(module, "keccak256", counting)
+
+    _sweep(world, None)
+    without_store = calls[0]
+    calls[0] = 0
+    with attach_store(str(tmp_path / "fresh.store")) as binding:
+        _sweep(world, binding)
+    assert calls[0] == without_store > 0
+
+
 def test_unreadable_store_is_quarantined_not_fatal(tmp_path, world,
                                                    cold_json) -> None:
     path = str(tmp_path / "garbage.store")

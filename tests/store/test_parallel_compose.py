@@ -1,4 +1,4 @@
-"""`--store` composes with --workers, --chaos and --checkpoint.
+"""`--store` composes with --workers, --chaos and resume.
 
 The legacy ResultStore hung off the end of the *serial* path only; the
 durable store is wired through the sharded engine and the supervisor, so
@@ -111,17 +111,24 @@ def test_store_composes_with_chaos(tmp_path, world, serial_json) -> None:
     assert report_to_json(incremental.report) == serial_json
 
 
-def test_store_composes_with_checkpoints(tmp_path, spec, world,
-                                         serial_json) -> None:
-    store_path = str(tmp_path / "ckpt.store")
-    checkpoint = str(tmp_path / "sweep.ckpt")
+def test_three_shard_prefix_resumes_on_two_workers(tmp_path, spec, world,
+                                                   serial_json) -> None:
+    """Resume is keyed by address and codehash, not by the partition: a
+    prefix committed by a 3-shard sweep resumes with ``--workers 2
+    --incremental`` into the cold sweep's bytes, ``summary.dedup``
+    included."""
+    path = str(tmp_path / "resume.store")
+    addresses = world.addresses()
+    run_sharded_sweep(spec, workers=3, world=world, processes=False,
+                      addresses=addresses[:len(addresses) // 2],
+                      store_path=path)
     result = run_sharded_sweep(spec, workers=2, world=world,
-                               processes=False, store_path=store_path,
-                               checkpoint_path=checkpoint)
+                               processes=True, store_path=path,
+                               incremental=True)
+    assert result.supervised
+    assert result.store_restored > 0
     assert report_to_json(result.report) == serial_json
-    # Both artifacts exist: per-shard checkpoints and the merged store.
-    assert any(name.startswith("sweep.ckpt") for name in os.listdir(tmp_path))
-    assert os.path.exists(store_path)
+    _no_shard_leftovers(tmp_path)
 
 
 def test_stale_shard_stores_are_salvaged(tmp_path, spec, world,

@@ -7,7 +7,7 @@ asserts the ``repro.evidence/1`` contract (docs/observability.md,
 
 1. **Coverage** — every analyzed contract has an evidence file in the
    audit directory, and every file's digest matches the digest embedded
-   in the serialized analysis (checkpoint/merge provenance).
+   in the serialized analysis (store/merge provenance).
 2. **Verdict completeness** — every proxy verdict cites a matched
    pattern (or the dedup-cache transfer that replaced classification);
    every recovered logic history with getStorageAt spend cites its
