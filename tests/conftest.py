@@ -7,6 +7,7 @@ never mutate chain state (they run on overlays), so sharing is safe.
 
 from __future__ import annotations
 
+import contextlib
 import sys
 
 import pytest
@@ -50,3 +51,28 @@ def landscape() -> Landscape:
 def accuracy_corpus() -> AccuracyCorpus:
     """A small labelled collision corpus shared across read-only tests."""
     return build_accuracy_corpus(pairs_per_case=4, seed=3)
+
+
+class ParentKilled(Exception):
+    """Raised where a sharded sweep's parent "dies" before its store fold."""
+
+
+@pytest.fixture()
+def parent_killed_before_fold(monkeypatch):
+    """Context manager: a stored sharded sweep run inside it loses its
+    parent between worker exit and the fold of the shard stores — like a
+    ``kill -9`` at that point, every ``PATH.shardNN`` store stays behind
+    for the next sweep to salvage."""
+
+    def die(result, store, *_rest):
+        store.close()
+        raise ParentKilled
+
+    @contextlib.contextmanager
+    def killed():
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.parallel.engine._fold_store", die)
+            with pytest.raises(ParentKilled):
+                yield
+
+    return killed
