@@ -7,7 +7,8 @@ serializes them through the *same* canonical encoder.  That is the whole
 point of the module: for the same store state, ``repro explain ADDR
 --json --store PATH`` and ``GET /v1/contract/ADDR`` return
 **byte-identical** bodies, because neither owns its own serializer
-(``tools/check_serve.py`` gates the guarantee in CI).
+(the ``served-http`` cell of ``tests/integration/test_equivalence.py``
+checks the guarantee).
 
 Answer kinds:
 

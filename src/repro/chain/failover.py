@@ -23,7 +23,8 @@ protocol over N backends that answer for the same logical chain:
 
 A call fails only when *every* endpoint has been tried and refused — a
 single healthy backend is enough to keep a sweep losing zero contracts
-through a primary outage (the ``reorg-smoke`` gate's failover leg).
+through a primary outage (the ``failover`` cell of
+``tests/integration/test_equivalence.py``).
 """
 
 from __future__ import annotations

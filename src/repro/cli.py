@@ -149,11 +149,6 @@ def _survey_impl(args: argparse.Namespace, obs: dict) -> int:
     store_path = args.store
     # Removed flags still parse, so old scripts get these messages
     # instead of an argparse usage error.
-    if args.db:
-        print("error: --db was removed; use --store PATH (same "
-              "repro.store/1 database — files written by --db open "
-              "unchanged)", file=sys.stderr)
-        return 2
     if args.checkpoint or args.resume:
         print("error: --checkpoint/--resume were removed; resume a sweep "
               "with --store PATH --incremental (the store commits every "
@@ -233,8 +228,11 @@ def _survey_impl(args: argparse.Namespace, obs: dict) -> int:
             supervise = SupervisorConfig(
                 shard_timeout_s=args.shard_timeout,
                 max_shard_retries=args.max_shard_retries)
+            # The serial path's address order (the dataset's), so the
+            # merged report lists contracts exactly as a serial sweep does.
             result = run_sharded_sweep(
                 spec, workers=args.workers, strategy=args.shard_strategy,
+                addresses=landscape.dataset.addresses(),
                 world=landscape, supervise=supervise,
                 progress=None if args.json else print,
                 events_path=args.events, audit_dir=args.audit,
@@ -900,8 +898,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "store already settles and analyze only the "
                              "delta; the merged report is byte-identical "
                              "to a from-scratch sweep")
-    survey.add_argument("--db", default=None, metavar="PATH",
-                        help="removed; use --store PATH")
     survey.add_argument("--checkpoint", default=None, metavar="FILE",
                         help="removed; use --store PATH --incremental")
     survey.add_argument("--resume", action="store_true",

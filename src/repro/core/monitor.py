@@ -131,7 +131,7 @@ class DeploymentMonitor:
         new_alerts: list[Alert] = []
         # Divergence check first: if the branch under the cursor changed,
         # roll back to the common ancestor before scanning forward.
-        new_alerts.extend(self._check_reorg(chain))
+        new_alerts.extend(self._detect_reorg(chain))
         latest = chain.latest_block_number
         # How far behind the chain head this poll starts — the freshness
         # guarantee a protective monitor is judged on.
@@ -163,7 +163,7 @@ class DeploymentMonitor:
         return new_alerts
 
     # ---------------------------------------------------------------- reorgs
-    def _check_reorg(self, chain) -> list[Alert]:
+    def _detect_reorg(self, chain) -> list[Alert]:
         """Detect branch divergence; roll facts back to the common ancestor."""
         if not self._ancestry:
             return []

@@ -193,6 +193,9 @@ class EvidenceTrail:
 
         Deterministic for a deterministic analysis (kinds sorted, counts
         exact), so parallel merges stay byte-identical to serial sweeps.
+        Keys come in sorted order, the order the store writes them in, so
+        a digest restored from the store prints the same bytes as a fresh
+        one.
         """
         kinds: dict[str, int] = {}
         for node in self._root.walk():
@@ -200,9 +203,9 @@ class EvidenceTrail:
                 continue
             kinds[node.kind] = kinds.get(node.kind, 0) + 1
         return {
+            "kinds": dict(sorted(kinds.items())),
             "schema": SCHEMA,
             "sections": [section.kind for section in self.sections],
-            "kinds": dict(sorted(kinds.items())),
         }
 
 

@@ -28,9 +28,13 @@ processes launched individually, each with
 Crash-free, the supervised sweep is **byte-identical** to both the old
 pool engine and the serial sweep (codehash strategy): supervision changes
 how workers are babysat, never what they compute.  Under crash injection
-(the ``worker-*`` fault plans in :mod:`repro.chain.faults`) the report is
-identical *modulo* the quarantined ``worker-crash`` records — the
-invariant ``tools/check_supervised_sweep.py`` gates in CI.
+(the ``worker-*`` fault plans in :mod:`repro.chain.faults`) the contracts
+and failures match: every analyzed record equals the serial one and every
+other address is a counted ``worker-crash`` quarantine.  ``summary.dedup``
+does not match: a salvaged prefix carries no cache counters, so the
+merged hit/miss totals undercount.  The ``worker-chaos`` and
+``worker-poison`` cells of ``tests/integration/test_equivalence.py``
+check this.
 
 Supervision is observable: ``parallel.respawns``, ``parallel.hung_kills``,
 ``parallel.poison_contracts`` counters and the high-water

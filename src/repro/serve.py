@@ -18,7 +18,9 @@ rate-limiting sidecar because it answers queries under load):
   in front of a bounded slots+queue gate (503 on overflow or wait
   timeout), with every shed request counted in the metrics registry —
   under overload the daemon degrades to fast refusals, never to queue
-  collapse (``tools/check_serve.py`` gates this at 2x over-admission);
+  collapse (the ``served-http`` cell of
+  ``tests/integration/test_equivalence.py`` checks this at 2x
+  over-admission);
 * **one coherent surface** — the PR 6 observability routes
   (``/metrics``, ``/healthz``, ``/progress``) are mounted on the same
   server via the shared :func:`~repro.obs.http.route_observability`

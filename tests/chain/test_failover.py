@@ -1,7 +1,7 @@
 """Multi-endpoint failover: sticky primary, probation, health scoring.
 
-The guarantee under test is the ``reorg-smoke`` gate's failover leg in
-miniature: with one healthy backend in the fleet, a primary outage loses
+The guarantee under test is the equivalence matrix's ``failover`` cell
+in miniature: with one healthy backend in the fleet, a primary outage loses
 zero reads — every answer still matches the ground-truth archive.
 """
 

@@ -4,8 +4,8 @@ The contract under test: every verdict the pipeline emits must be backed
 by evidence in the trail — a proxy verdict cites its matched pattern and
 the storage reads behind it, a recovered logic history cites Algorithm 1
 search steps, a collision cites the selector/slot observations that
-produced it.  ``tools/check_explain.py`` enforces the same laws in CI
-over a real audited sweep directory.
+produced it.  The ``audited`` cells of ``test_equivalence.py`` check the
+same laws over the audit directory of a real ``survey --audit`` run.
 """
 
 from __future__ import annotations

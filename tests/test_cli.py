@@ -213,6 +213,21 @@ def test_survey_parallel_json_matches_serial(capsys) -> None:
     assert json.loads(parallel) == json.loads(serial)
 
 
+def test_survey_parallel_keeps_the_serial_address_order(capsys,
+                                                       monkeypatch) -> None:
+    """--workers lists contracts in the dataset's order, as the serial
+    sweep does, even where the generator's truth order differs (it does
+    at 250 contracts, seed 42)."""
+    from repro.corpus.generator import Landscape
+    assert main(["survey", "--total", "20", "--seed", "3", "--json"]) == 0
+    serial = capsys.readouterr().out
+    monkeypatch.setattr(Landscape, "addresses",
+                        lambda self: list(self.truths)[::-1])
+    assert main(["survey", "--total", "20", "--seed", "3", "--json",
+                 "--workers", "2"]) == 0
+    assert capsys.readouterr().out == serial
+
+
 def test_survey_parallel_rejects_per_process_outputs(tmp_path,
                                                      capsys) -> None:
     assert main(["survey", "--total", "20", "--workers", "2",
@@ -478,18 +493,14 @@ def test_survey_store_json_matches_serial(capsys, tmp_path) -> None:
 
 
 def test_survey_db_was_removed(tmp_path, capsys) -> None:
-    # The deprecated alias is gone; the error names its replacement and
-    # reassures that --db-written files still open (same file format).
-    assert main(["survey", "--total", "40", "--seed", "5",
-                 "--db", str(tmp_path / "legacy.db")]) == 2
-    err = capsys.readouterr().err
-    assert "--db was removed" in err
-    assert "--store" in err
-    # Passing both spellings fails the same way.
-    assert main(["survey", "--total", "40",
-                 "--db", str(tmp_path / "a.db"),
-                 "--store", str(tmp_path / "b.store")]) == 2
-    assert "--db was removed" in capsys.readouterr().err
+    # The retired alias no longer parses: argparse refuses the unknown
+    # flag, alone or beside its replacement --store.
+    for extra in ([], ["--store", str(tmp_path / "b.store")]):
+        with pytest.raises(SystemExit) as refused:
+            main(["survey", "--total", "40", "--seed", "5",
+                  "--db", str(tmp_path / "legacy.db"), *extra])
+        assert refused.value.code == 2
+        assert "--db" in capsys.readouterr().err
 
 
 def test_survey_incremental_without_store_errors(capsys) -> None:
