@@ -147,14 +147,6 @@ def _survey_impl(args: argparse.Namespace, obs: dict) -> int:
     )
 
     store_path = args.store
-    # Removed flags still parse, so old scripts get these messages
-    # instead of an argparse usage error.
-    if args.checkpoint or args.resume:
-        print("error: --checkpoint/--resume were removed; resume a sweep "
-              "with --store PATH --incremental (the store commits every "
-              "contract, so a rerun restores them and analyzes the rest)",
-              file=sys.stderr)
-        return 2
     if args.incremental and store_path is None:
         print("error: --incremental requires --store PATH (the store is "
               "where settled work is read from)", file=sys.stderr)
@@ -228,11 +220,8 @@ def _survey_impl(args: argparse.Namespace, obs: dict) -> int:
             supervise = SupervisorConfig(
                 shard_timeout_s=args.shard_timeout,
                 max_shard_retries=args.max_shard_retries)
-            # The serial path's address order (the dataset's), so the
-            # merged report lists contracts exactly as a serial sweep does.
             result = run_sharded_sweep(
                 spec, workers=args.workers, strategy=args.shard_strategy,
-                addresses=landscape.dataset.addresses(),
                 world=landscape, supervise=supervise,
                 progress=None if args.json else print,
                 events_path=args.events, audit_dir=args.audit,
@@ -898,10 +887,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "store already settles and analyze only the "
                              "delta; the merged report is byte-identical "
                              "to a from-scratch sweep")
-    survey.add_argument("--checkpoint", default=None, metavar="FILE",
-                        help="removed; use --store PATH --incremental")
-    survey.add_argument("--resume", action="store_true",
-                        help="removed; use --store PATH --incremental")
     survey.add_argument("--workers", type=int, default=1, metavar="N",
                         help="shard the sweep across N worker processes "
                              "(default 1 = serial; docs/parallelism.md)")

@@ -66,7 +66,8 @@ class Landscape:
     clone_family_targets: list[bytes] = field(default_factory=list)
 
     def addresses(self) -> list[bytes]:
-        return list(self.truths)
+        """Every contract, in the dataset's order: the one sweep order."""
+        return self.dataset.addresses()
 
     def truth(self, address: bytes) -> ContractTruth:
         return self.truths[address]

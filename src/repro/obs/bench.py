@@ -345,7 +345,7 @@ def _pipeline_supervised_workload(workers: int = 4) -> Workload:
 
         # The windowed worker-crash plan kills every attempt that still
         # makes 16+ eth_getCode calls (a per-process call index), so a
-        # shard dies repeatedly; respawns resume from the shard store and
+        # shard dies repeatedly; respawns resume from the sweep's store and
         # bisection finishes the job.  The median-wall delta against
         # pipeline_parallel (same scale, crash-free) is the price of
         # those crashes — the supervisor's self-healing overhead under

@@ -62,7 +62,7 @@ WORKER_RESPAWN = "worker.respawn"      # dead/hung worker re-queued (resume)
 WORKER_HUNG_KILL = "worker.hung-kill"  # heartbeat-stale worker killed
 SUPERVISOR_TICK = "supervisor.tick"    # throttled per-shard progress/lag
 SUPERVISOR_BISECT = "supervisor.bisect"            # poison shard split
-SUPERVISOR_SALVAGE = "supervisor.salvage"          # shard-store prefix recovered
+SUPERVISOR_SALVAGE = "supervisor.salvage"          # store prefix recovered
 SUPERVISOR_QUARANTINE = "supervisor.quarantine"    # poison contract isolated
 
 # Pipeline (per worker, or the serial sweep).

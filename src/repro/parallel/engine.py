@@ -33,15 +33,21 @@ leans on.
 The multi-process path is no longer a bare ``Pool.map``: it delegates to
 the **sweep supervisor** (:mod:`repro.parallel.supervisor`), which
 launches one monitored process per shard, respawns dead or hung workers
-from their shard stores, and bisects poison shards down to the
+from the sweep's one store, and bisects poison shards down to the
 single quarantinable contract.  Crash-free, the supervised sweep computes
 exactly what the pool did — same workers' code path, same merge — so
 every determinism guarantee above carries over unchanged.
+
+With ``store_path`` every worker, in-process or supervised, commits into
+that one store.  The parent opens (or creates) it before dispatch and
+drops the instance rows of the addresses it dispatches, so every such
+row was committed by this sweep, and a parent killed at any point leaves
+them for the next ``--incremental`` sweep.
 """
 
 from __future__ import annotations
 
-import os
+import sqlite3
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -118,19 +124,19 @@ def _analyze_shard(proxion: Any, shard_index: int,
 def _run_shard(task: tuple, events=None) -> dict[str, Any]:
     """In-process worker: analyze one shard, return a pickle-able dict.
 
-    ``task`` is ``(spec, shard_index, addresses, audit_dir, store_spec)``.
+    ``task`` is ``(spec, shard_index, addresses, audit_dir, store_path)``.
     The backbone of the sequential (``processes=False``) path; the
     supervised path runs the same :func:`_analyze_shard` core with a
     heartbeat.  ``events`` (an
     :class:`~repro.obs.events.EventRecorder`, sequential path only) lets
     the in-process shards narrate into the caller's flight recorder.
     """
-    spec, shard_index, addresses, audit_dir, store_spec = task
+    spec, shard_index, addresses, audit_dir, store_path = task
     world = _world_for(spec)
     binding = None
-    if store_spec is not None:
+    if store_path is not None:
         from repro.store.binding import open_worker_binding
-        binding = open_worker_binding(store_spec, shard_index)
+        binding = open_worker_binding(store_path, shard_index)
     proxion = spec.build_proxion(world, events=events, audit=audit_dir,
                                  store=binding)
     try:
@@ -203,89 +209,38 @@ class ShardedSweepResult:
         return self.sum_shard_cpu_s / slowest if slowest else 1.0
 
 
-def _remove_store_files(path: str) -> None:
-    """Delete one SQLite database and its WAL sidecars."""
-    for candidate in (path, path + "-wal", path + "-shm"):
-        try:
-            os.remove(candidate)
-        except OSError:
-            pass
+def _fold_store(result: ShardedSweepResult, restored,
+                addresses: list[bytes], code_of,
+                spec: SweepSpec) -> ShardedSweepResult:
+    """Fold an incremental sweep's restored prefix into its result."""
+    from repro.store.binding import replayed_counter_baseline
 
-
-def _salvage_shard_stores(store, store_path: str,
-                          say: Callable[[str], None]) -> None:
-    """Fold leftover shard stores of a killed sweep into the main store.
-
-    A ``kill -9`` of the *parent* mid-merge (or mid-sweep) leaves
-    ``PATH.shardNN`` files whose committed rows are a consistent prefix
-    of each worker's progress (per-contract transactions).  Recovering
-    them before this sweep starts means ``--incremental`` resumes from
-    everything any worker ever committed; unmergeable leftovers are
-    discarded with a warning — they are this sweep's own temp files,
-    never operator data.
-    """
-    import glob
-
-    for shard_path in sorted(glob.glob(store_path + ".shard[0-9][0-9]")):
-        try:
-            store.merge_from(shard_path)
-            say(f"store: salvaged stale shard store {shard_path}")
-        except Exception as error:
-            say(f"store: stale shard store {shard_path!r} not mergeable "
-                f"({error}) — discarded")
-        _remove_store_files(shard_path)
-
-
-def _fold_store(result: ShardedSweepResult, store, restored,
-                addresses: list[bytes], code_of, spec: SweepSpec,
-                workers: int, store_path: str,
-                say: Callable[[str], None]) -> ShardedSweepResult:
-    """Post-sweep store work: fold restored prefix, merge shard stores."""
-    from repro.store.binding import (
-        replayed_counter_baseline,
-        shard_store_path,
-    )
-
-    if restored is not None and restored.completed:
-        prefix = LandscapeReport()
-        for analysis in restored.analyses:
-            prefix.add(analysis)
-        for failure in restored.failures:
-            prefix.add_failure(failure)
-        report = merge_reports([prefix, result.report], order=addresses)
-        # The dedup counters a from-scratch sweep would have accrued over
-        # the restored prefix — replayed from the restored analyses, never
-        # read from the store (a kill -9 could leave stored counters
-        # stale; the committed rows themselves cannot lie).
-        baseline = replayed_counter_baseline(restored.analyses, code_of,
-                                             spec.options)
-        for name, value in baseline.items():
-            setattr(report, name, getattr(report, name) + value)
-        result.report = report
-        result.store_restored = (len(restored.analyses)
-                                 + len(restored.failures))
-        result.metrics.counter("pipeline.store_restored_contracts").inc(
-            result.store_restored)
-        result.metrics.counter("pipeline.store_restored_skips").inc(
-            len(restored.skips))
-        if restored.invalidated:
-            result.metrics.counter("store.invalidated_instances").inc(
-                restored.invalidated)
-    for shard in range(workers):
-        path = shard_store_path(store_path, shard)
-        if not os.path.exists(path):
-            continue
-        try:
-            store.merge_from(path)
-        except Exception as error:
-            say(f"store: shard store {path!r} not mergeable ({error}) — "
-                f"discarded (its contracts were still merged into the "
-                f"report from the worker's result)")
-        _remove_store_files(path)
-    try:
-        store.close()
-    except Exception as error:
-        say(f"store: closing {store_path!r} failed ({error})")
+    if restored is None or not restored.completed:
+        return result
+    prefix = LandscapeReport()
+    for analysis in restored.analyses:
+        prefix.add(analysis)
+    for failure in restored.failures:
+        prefix.add_failure(failure)
+    report = merge_reports([prefix, result.report], order=addresses)
+    # The dedup counters a from-scratch sweep would have accrued over
+    # the restored prefix — replayed from the restored analyses, never
+    # read from the store (a kill -9 could leave stored counters
+    # stale; the committed rows themselves cannot lie).
+    baseline = replayed_counter_baseline(restored.analyses, code_of,
+                                         spec.options)
+    for name, value in baseline.items():
+        setattr(report, name, getattr(report, name) + value)
+    result.report = report
+    result.store_restored = (len(restored.analyses)
+                             + len(restored.failures))
+    result.metrics.counter("pipeline.store_restored_contracts").inc(
+        result.store_restored)
+    result.metrics.counter("pipeline.store_restored_skips").inc(
+        len(restored.skips))
+    if restored.invalidated:
+        result.metrics.counter("store.invalidated_instances").inc(
+            restored.invalidated)
     return result
 
 
@@ -324,14 +279,14 @@ def run_sharded_sweep(spec: SweepSpec, *,
 
     ``store_path`` binds the sweep to a durable ``repro.store/1``
     database (:mod:`repro.store`): the parent opens (or creates,
-    quarantining corruption) the main store, each shard writes its own
-    ``PATH.shardNN`` store, and the parent folds the shard stores back
-    after the merge.  With ``incremental`` the parent first restores
-    every instance the store has already settled (validating stored
-    codehashes against the live code) and dispatches only the pending
-    delta; the merged report is byte-identical to a from-scratch sweep
-    of the same corpus.  ``--store PATH --incremental`` is therefore
-    also how a killed sweep resumes.
+    quarantining corruption) the store, drops the instance rows of every
+    address it dispatches, and every worker commits into it, one
+    transaction per contract.  With ``incremental`` the parent first
+    restores every instance the store has already settled (validating
+    stored codehashes against the live code) and dispatches only the
+    pending delta; the merged report is byte-identical to a from-scratch
+    sweep of the same corpus.  ``--store PATH --incremental`` is
+    therefore also how a killed sweep resumes.
     """
     wall_start = time.perf_counter()
     say = progress or (lambda message: None)
@@ -350,24 +305,33 @@ def run_sharded_sweep(spec: SweepSpec, *,
         # perturb counters (or be perturbed by chaos wrappers).
         return world.chain.state.get_code(address)
 
-    store = None
     restored = None
-    store_spec: tuple[str, bool] | None = None
     pending = addresses
     if store_path is not None:
         from repro.store.binding import open_store, restore_instances
         store = open_store(store_path)
-        if store is not None:
-            store_spec = (store_path, incremental)
-            _salvage_shard_stores(store, store_path, say)
-            if incremental:
-                restored = restore_instances(store, addresses, code_of)
-                pending = [address for address in addresses
-                           if address not in restored.completed]
-                say(f"store: restored {len(restored.analyses)} analyses, "
-                    f"{len(restored.failures)} failures, "
-                    f"{len(restored.skips)} skips from {store_path} — "
-                    f"{len(pending)} contract(s) pending")
+        if store is None:
+            store_path = None
+        else:
+            try:
+                if incremental:
+                    restored = restore_instances(store, addresses, code_of)
+                    pending = [address for address in addresses
+                               if address not in restored.completed]
+                    say(f"store: restored {len(restored.analyses)} "
+                        f"analyses, {len(restored.failures)} failures, "
+                        f"{len(restored.skips)} skips from {store_path} — "
+                        f"{len(pending)} contract(s) pending")
+                # Afterwards every instance row of a dispatched address
+                # is this sweep's own work, which is all a respawn or a
+                # salvage may restore.
+                store.invalidate_instances(pending)
+            except sqlite3.Error as error:
+                say(f"store: cannot use {store_path!r} ({error}) — "
+                    f"sweeping without it")
+                store_path = None
+            finally:
+                store.close()
 
     if not pending:
         result = ShardedSweepResult(
@@ -376,8 +340,7 @@ def run_sharded_sweep(spec: SweepSpec, *,
             wall_s=time.perf_counter() - wall_start)
         say("store: nothing pending — the store already settles the "
             "whole corpus")
-        return _fold_store(result, store, restored, addresses, code_of,
-                           spec, workers, store_path, say)
+        return _fold_store(result, restored, addresses, code_of, spec)
 
     if processes and workers > 1:
         from repro.parallel.supervisor import run_supervised_sweep
@@ -385,15 +348,12 @@ def run_sharded_sweep(spec: SweepSpec, *,
             spec, workers=workers, strategy=strategy, addresses=pending,
             world=world, config=supervise, progress=progress,
             events_path=events_path, audit_dir=audit_dir,
-            store_spec=store_spec)
-        if store is not None:
-            result = _fold_store(result, store, restored, addresses,
-                                 code_of, spec, workers, store_path, say)
-        return result
+            store_path=store_path)
+        return _fold_store(result, restored, addresses, code_of, spec)
 
     partitions = shard_addresses(pending, workers, strategy,
                                  code_of=code_of)
-    tasks = [(spec, index, partition, audit_dir, store_spec)
+    tasks = [(spec, index, partition, audit_dir, store_path)
              for index, partition in enumerate(partitions)]
     say(f"sweeping {len(pending)} contracts across {workers} "
         f"shard(s), strategy={strategy}")
@@ -435,10 +395,7 @@ def run_sharded_sweep(spec: SweepSpec, *,
     say(f"merged {len(report.analyses)} analyses, "
         f"{len(report.failures)} failures "
         f"(critical-path speedup {outcome.critical_path_speedup:.2f}x)")
-    if store is not None:
-        outcome = _fold_store(outcome, store, restored, addresses, code_of,
-                              spec, workers, store_path, say)
-    return outcome
+    return _fold_store(outcome, restored, addresses, code_of, spec)
 
 
 __all__ = [

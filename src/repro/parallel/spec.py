@@ -97,10 +97,10 @@ class SweepSpec:
         writer.
 
         ``store`` (a :class:`~repro.store.StoreBinding`, optional) makes
-        the worker's dedup caches durable — in a sharded sweep each
-        worker gets a binding over its *own* shard store
-        (:func:`~repro.store.open_worker_binding`), upholding the
-        single-writer-per-file discipline.
+        the worker's dedup caches durable — in a sharded sweep every
+        worker binds to the sweep's one store
+        (:func:`~repro.store.open_worker_binding`) and commits into it
+        beside the others.
         """
         return Proxion.from_node(self.build_node(world, events=events),
                                  registry=world.registry,

@@ -6,24 +6,28 @@ it forever — precisely the failure modes a §6.1-scale multi-day run hits.
 This module replaces the pool with a **supervisor**: per-shard worker
 processes launched individually, each with
 
-* a **heartbeat channel** — the worker pings a ``multiprocessing`` queue
-  once at startup and once per settled contract (the pipeline's
-  ``on_settled`` callback), so the parent always knows how stale every
-  worker is;
-* a **monitor loop** — the parent detects dead workers by ``exitcode``
-  and hung workers by heartbeat age (``shard_timeout_s``), kills the hung
-  ones, and respawns either kind *resuming from the shard's own
-  ``repro.store/1`` shard store* (every supervised shard writes one: the
-  caller's ``PATH.shardNN`` under ``--store``, otherwise a throwaway one
-  in a private temp directory), which commits once per contract;
+* **its own pipe** — every attempt gets a one-way
+  ``multiprocessing.Pipe``.  The worker sends a heartbeat once at
+  startup and once per settled contract (the pipeline's ``on_settled``
+  callback, after the contract's store commit), then its result dict as
+  the last message.  Nothing is shared between workers, so a worker
+  killed mid-send can truncate only its own pipe;
+* a **monitor loop** — the parent blocks in
+  :func:`multiprocessing.connection.wait` on every pipe and process
+  sentinel, detects dead workers by ``exitcode`` and hung workers by
+  heartbeat age (``shard_timeout_s``), kills the hung ones, and respawns
+  either kind *resuming from the sweep's one store*.  Every worker
+  commits into that store once per contract: the caller's ``--store
+  PATH``, otherwise a throwaway ``sweep.store`` in a private temp
+  directory;
 * **poison-shard bisection** — a shard that keeps sinking its worker past
-  ``max_shard_retries`` is salvaged (committed prefix restored from its
-  shard store) and its *pending* suffix
+  ``max_shard_retries`` is salvaged (committed prefix restored from the
+  store) and its *pending* suffix
   is split in two; each half gets a fresh retry budget, recursively, until
   the crash is pinned to a single contract, which is quarantined as a
   cause-classified ``worker-crash`` :class:`~repro.core.report.ContractFailure`
-  — the merged report stays complete, and every healthy contract is
-  analyzed exactly once.
+  and committed to the store — the merged report stays complete, and
+  every healthy contract is analyzed exactly once.
 
 Crash-free, the supervised sweep is **byte-identical** to both the old
 pool engine and the serial sweep (codehash strategy): supervision changes
@@ -48,26 +52,25 @@ respawn, hung-kill, bisection and quarantine, plus a throttled
 ``supervisor.tick`` per live worker carrying completed-count and
 heartbeat lag (the raw feed of ``repro status`` / ``/healthz``).  Each
 worker keeps a *private* per-attempt journal in the supervisor's
-workdir — narrating its pipeline starts, shard-store resumes, contract
+workdir — narrating its pipeline starts, store resumes, contract
 quarantines and breaker trips from inside the process — and when the
 worker is reaped (cleanly or not) the parent folds that file into the
-parent journal over the same crash-safe channel as results; readers
-recover the total order from the events' monotonic timestamps.
+parent journal; readers recover the total order from the events'
+monotonic timestamps.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import multiprocessing
 import os
-import queue as queue_module
 import shutil
 import sqlite3
 import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Any, Callable, Sequence
 
 from repro.errors import ConfigurationError, WorkerCrash, classify_cause
@@ -79,9 +82,9 @@ from repro.obs.events import EventJournal, EventRecorder, NULL_RECORDER
 # Imported in the parent so forked workers inherit the module instead of
 # each paying its import.
 from repro.store.binding import (
+    open_store,
     open_worker_binding,
     restore_instances,
-    shard_store_path,
 )
 from repro.store.store import AnalysisStore
 
@@ -101,6 +104,7 @@ class SupervisorConfig:
 
     shard_timeout_s: float = 30.0
     max_shard_retries: int = 2
+    #: Longest the monitor loop blocks waiting for a pipe or an exit.
     poll_interval_s: float = 0.02
     #: Throttle for ``supervisor.tick`` flight-recorder events (one per
     #: live worker per interval) when an events journal is wired.
@@ -126,16 +130,17 @@ class SupervisionStats:
     max_heartbeat_lag_s: float = 0.0
 
 
-def _supervised_worker(task: tuple, heartbeat_queue) -> None:
-    """Worker entry point: analyze one task, write its result atomically.
+def _supervised_worker(task: tuple, pipe) -> None:
+    """Worker entry point: analyze one task, report over its own pipe.
 
-    Results travel as a JSON *file* (written to ``.tmp`` then
-    ``os.replace``\\ d), not through a queue: a worker killed mid-transfer
-    must never corrupt the parent's channel, and an ``os._exit`` mid-write
-    leaves only an invisible temp file.  The heartbeat queue carries only
-    ``(task_id, settled_count)`` — small enough for atomic pipe writes.
-    The pipeline beats once per settled contract, after its store commit,
-    whether or not the shard store could be opened.
+    ``pipe`` is the write end of this attempt's one-way pipe.  It carries
+    heartbeats — the settled-contract count, sent once at startup, once
+    when the world is built and once per settled contract, after the
+    contract's store commit — and then, as the last message, the result
+    dict, or ``{"fatal": ...}``.  The pipeline beats whether or not the
+    store could be opened.  The results ride the pipe, not the store: a
+    worker whose store cannot be opened, or whose binding disables itself
+    after a write error, holds its results only in memory.
 
     ``events_path`` (optional) names this attempt's *private*
     flight-recorder journal: the worker narrates its pipeline and breaker
@@ -152,24 +157,22 @@ def _supervised_worker(task: tuple, heartbeat_queue) -> None:
     contracts it re-analyzes (store-restored contracts keep the
     evidence the dead attempt already persisted).
 
-    ``store_spec`` is the durable-store binding spec
-    ``(main_store_path, incremental)``: the worker writes analysis facts
-    and per-contract rows through to its shard's ``PATH.shardNN`` store,
-    restores from it what a dead predecessor committed and, when
-    incremental, warms its caches read-only from the main store.
-    Bisected halves of one shard share the shard store; SQLite WAL plus
-    the 30s busy timeout absorbs that concurrency.
+    ``store_path`` is the sweep's one store, which the parent created
+    before dispatch; ``None`` sweeps on in-memory caches.  ``resume``
+    (a respawned attempt) restores what the attempts before it
+    committed there.  SQLite WAL plus the 30s busy timeout absorbs the
+    concurrent writers.
     """
-    (spec, task_id, shard_index, addresses, result_path, events_path,
-     audit_dir, store_spec) = task
+    (spec, shard_index, addresses, events_path, audit_dir, store_path,
+     resume) = task
 
-    def beat(settled: int = 0) -> None:
+    def send(message: int | dict[str, Any] = 0) -> None:
         try:
-            heartbeat_queue.put((task_id, settled))
-        except (OSError, ValueError):
+            pipe.send(message)
+        except OSError:
             pass  # parent gone; finishing the shard is still useful
 
-    beat()  # alive before the (possibly slow) world build
+    send()  # alive before the (possibly slow) world build
     from repro.parallel.engine import _analyze_shard, _world_for
 
     journal: EventJournal | None = None
@@ -181,12 +184,13 @@ def _supervised_worker(task: tuple, heartbeat_queue) -> None:
     try:
         try:
             world = _world_for(spec)
-            binding = open_worker_binding(store_spec, shard_index)
+            binding = open_worker_binding(store_path, shard_index,
+                                          incremental=resume)
             proxion = spec.build_proxion(world, events=events,
                                          audit=audit_dir, store=binding)
-            beat()  # world built, analysis starting
+            send()  # world built, analysis starting
             result = _analyze_shard(proxion, shard_index, addresses,
-                                    on_settled=beat)
+                                    on_settled=send)
         except ConfigurationError as error:
             # Misconfiguration (e.g. an unknown fault plan, a store of a
             # foreign schema) is NOT a crash: respawning or bisecting
@@ -198,11 +202,7 @@ def _supervised_worker(task: tuple, heartbeat_queue) -> None:
             binding.close()
         if journal is not None:
             journal.close()
-
-    tmp_path = result_path + ".tmp"
-    with open(tmp_path, "w", encoding="utf-8") as stream:
-        json.dump(result, stream, separators=(",", ":"))
-    os.replace(tmp_path, result_path)
+    send(result)
 
 
 @dataclass(slots=True)
@@ -220,9 +220,27 @@ class _Task:
 class _Running:
     process: Any
     task: _Task
+    pipe: Any                        # read end of this attempt's pipe
     last_beat: float
     events_path: str | None = None   # this attempt's private journal
     completed: int = 0               # last heartbeat's settled count
+    result: dict[str, Any] | None = None  # the final message, once read
+    open: bool = True                # False once the pipe reached EOF
+
+    def receive(self) -> None:
+        """Apply every message already waiting on the pipe."""
+        try:
+            while self.open and self.pipe.poll():
+                message = self.pipe.recv()
+                self.last_beat = time.monotonic()
+                if isinstance(message, dict):
+                    self.result = message
+                else:
+                    self.completed = message
+        except (EOFError, OSError):
+            # The worker exited or died, possibly mid-send; its exit
+            # code decides what that means.
+            self.open = False
 
 
 def _empty_result(shard: int) -> dict[str, Any]:
@@ -238,22 +256,23 @@ def _empty_result(shard: int) -> dict[str, Any]:
     }
 
 
-def _salvage(task: _Task, store_path: str,
+def _salvage(task: _Task, store_path: str | None,
              code_of: Callable[[bytes], bytes],
              ) -> tuple[dict[str, Any], set[bytes]]:
-    """Recover a failed task's committed prefix from its shard store.
+    """Recover a failed task's committed prefix from the sweep's store.
 
     Returns a partial result dict (possibly empty) plus the settled
-    address set (skips included).  Runs precisely after workers died
-    ungracefully, so a shard store that is missing or unreadable simply
-    salvages nothing: its contracts are re-analyzed.
+    address set (skips included).  The parent dropped every dispatched
+    address's instance rows before dispatch, so what this finds is this
+    sweep's own work.  Runs precisely after workers died ungracefully,
+    so a store that is missing or unreadable simply salvages nothing:
+    the task's contracts are re-analyzed.
     """
     result = _empty_result(task.shard)
-    path = shard_store_path(store_path, task.shard)
-    if not os.path.exists(path):
+    if store_path is None:
         return result, set()
     try:
-        with AnalysisStore(path) as store:
+        with AnalysisStore(store_path) as store:
             restored = restore_instances(store, task.addresses, code_of)
     except (sqlite3.Error, OSError, ValueError):
         # ValueError covers ConfigurationError and garbled JSON rows.
@@ -265,6 +284,20 @@ def _salvage(task: _Task, store_path: str,
     return result, restored.completed
 
 
+def _commit_failure(store_path: str | None, failure: ContractFailure,
+                    say: Callable[[str], None]) -> None:
+    """Persist a supervisor-side quarantine in the sweep's store, so that
+    ``--incremental`` restores it and ``repro serve`` answers it."""
+    if store_path is None:
+        return
+    try:
+        with AnalysisStore(store_path) as store:
+            store.save_failure(failure)
+    except (sqlite3.Error, OSError, ValueError) as error:
+        say(f"store: cannot record the quarantine of "
+            f"0x{failure.address.hex()} in {store_path!r} ({error})")
+
+
 def run_supervised_sweep(spec, *,
                          workers: int = 4,
                          strategy: str = "codehash",
@@ -274,7 +307,7 @@ def run_supervised_sweep(spec, *,
                          progress: Callable[[str], None] | None = None,
                          events_path: str | None = None,
                          audit_dir: str | None = None,
-                         store_spec: tuple[str, bool] | None = None):
+                         store_path: str | None = None):
     """Run one landscape sweep under supervision and merge deterministically.
 
     The drop-in process backend of
@@ -287,14 +320,13 @@ def run_supervised_sweep(spec, *,
     :class:`~repro.obs.provenance.AuditDir` over that shared directory
     and persists one evidence file per contract — atomically, so crashed
     attempts never leave a corrupt file, and respawn/bisection replays
-    only rewrite what they re-analyze.  ``store_spec``
-    (``(main_store_path, incremental)``, optional) names the caller's
-    durable analysis store: workers write through to its
-    ``PATH.shardNN`` shard stores (the parent — ``run_sharded_sweep`` —
-    folds them back into the main store after the merge).  Without one,
-    the shard stores live in a private temp directory and are discarded
-    with it.  Either way a respawned or bisected task resumes from its
-    shard store.  Returns the same
+    only rewrite what they re-analyze.  ``store_path`` (optional) names
+    the caller's durable analysis store, already opened by the parent —
+    ``run_sharded_sweep`` creates it and drops the instance rows of the
+    addresses it dispatches.  Every worker commits into it.  Without one,
+    the parent creates a throwaway ``sweep.store`` in a private temp
+    directory, discarded with it.  Either way a respawned or bisected
+    task resumes from that one store.  Returns the same
     :class:`~repro.parallel.engine.ShardedSweepResult` (with its
     supervision fields populated).
     """
@@ -340,18 +372,21 @@ def run_supervised_sweep(spec, *,
                 strategy=strategy, chaos=spec.chaos,
                 timeout_s=config.shard_timeout_s)
 
-    # Every supervised shard writes through a shard store — respawns
+    # Every worker writes through the sweep's one store, and respawns
     # resume from it.  Callers without a store of their own get a
-    # throwaway one in a private temp directory.
+    # throwaway one in a private temp directory.  Only the parent creates
+    # it; if that fails, workers sweep on in-memory caches and a respawn
+    # restarts its task from the top.
     workdir = tempfile.mkdtemp(prefix="repro-supervised-")
-    if store_spec is None:
-        store_spec = (os.path.join(workdir, "sweep.store"), False)
-    store_path = store_spec[0]
+    if store_path is None:
+        store = open_store(os.path.join(workdir, "sweep.store"))
+        if store is not None:
+            store.close()
+            store_path = store.path
 
     methods = multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn")
-    heartbeats = context.Queue()
 
     stats = SupervisionStats()
     task_ids = itertools.count()
@@ -370,9 +405,6 @@ def run_supervised_sweep(spec, *,
     shard_wall: dict[int, float] = dict.fromkeys(range(workers), 0.0)
     shard_cpu: dict[int, float] = dict.fromkeys(range(workers), 0.0)
 
-    def result_path_of(task: _Task) -> str:
-        return os.path.join(workdir, f"task{task.task_id:03d}.result.json")
-
     def launch(task: _Task) -> None:
         stats.worker_launches += 1
         worker_events = None
@@ -382,21 +414,25 @@ def run_supervised_sweep(spec, *,
             worker_events = os.path.join(
                 workdir,
                 f"task{task.task_id:03d}.a{task.attempts}.events.jsonl")
-        payload = (spec, task.task_id, task.shard, task.addresses,
-                   result_path_of(task), worker_events, audit_dir,
-                   store_spec)
+        payload = (spec, task.shard, task.addresses, worker_events,
+                   audit_dir, store_path, task.attempts > 0)
+        reader, writer = context.Pipe(duplex=False)
         process = context.Process(target=_supervised_worker,
-                                  args=(payload, heartbeats), daemon=True)
+                                  args=(payload, writer), daemon=True)
         process.start()
+        # The child holds the only write end left, so its exit is EOF.
+        writer.close()
         running[task.task_id] = _Running(process=process, task=task,
+                                         pipe=reader,
                                          last_beat=time.monotonic(),
                                          events_path=worker_events)
         events.emit(ev.WORKER_SPAWN, shard=task.shard, task=task.task_id,
                     attempt=task.attempts, depth=task.depth,
                     total=len(task.addresses), worker_pid=process.pid)
 
-    def ingest_worker_journal(worker: _Running) -> None:
-        """Fold a reaped worker's private journal into the merged one.
+    def reap(worker: _Running) -> None:
+        """Forget a finished worker and fold its private journal into the
+        merged one.
 
         Runs precisely when workers may have died ungracefully, so it
         tolerates everything a crash leaves behind: no file (died before
@@ -404,6 +440,8 @@ def run_supervised_sweep(spec, *,
         tail-tolerant reader).  Events are re-emitted verbatim — the
         worker's own pid/mono/seq provenance is the merge key.
         """
+        del running[worker.task.task_id]
+        worker.pipe.close()
         if journal is None or worker.events_path is None:
             return
         try:
@@ -413,25 +451,15 @@ def run_supervised_sweep(spec, *,
         for event in loaded.events:
             journal.append_record(event.to_dict())
 
-    def collect(task: _Task) -> bool:
-        """Ingest a finished worker's result file; False if it is unusable."""
-        path = result_path_of(task)
-        try:
-            with open(path, encoding="utf-8") as stream:
-                result = json.load(stream)
-        except (OSError, json.JSONDecodeError):
-            return False
+    def collect(task: _Task, result: dict[str, Any]) -> None:
         if "fatal" in result:
             raise ConfigurationError(
                 f"shard {task.shard} worker: {result['fatal']}")
-        # Addresses crossed the JSON boundary: analyses/failures carry hex
-        # strings and _partial_report reverses them, nothing to fix here.
+        # Addresses crossed the process boundary: analyses/failures carry
+        # hex strings and _partial_report reverses them.
         results.append(result)
-        shard_wall[task.shard] = shard_wall.get(task.shard, 0.0) \
-            + float(result.get("wall_s", 0.0))
-        shard_cpu[task.shard] = shard_cpu.get(task.shard, 0.0) \
-            + float(result.get("cpu_s", 0.0))
-        return True
+        shard_wall[task.shard] += float(result.get("wall_s", 0.0))
+        shard_cpu[task.shard] += float(result.get("cpu_s", 0.0))
 
     def quarantine_poison(task: _Task, address: bytes,
                           error: WorkerCrash) -> None:
@@ -439,6 +467,7 @@ def run_supervised_sweep(spec, *,
         failure = ContractFailure(address=address,
                                   cause=classify_cause(error),
                                   error=str(error), stage="worker")
+        _commit_failure(store_path, failure, say)
         result = _empty_result(task.shard)
         result["failures"] = [failure_to_dict(failure)]
         results.append(result)
@@ -478,7 +507,7 @@ def run_supervised_sweep(spec, *,
     def on_failure(task: _Task, error: WorkerCrash) -> None:
         task.attempts += 1
         if task.attempts <= config.max_shard_retries:
-            stats.respawns += 1  # the respawn resumes from the shard store
+            stats.respawns += 1  # the respawn resumes from the store
             events.emit(ev.WORKER_RESPAWN, shard=task.shard,
                         task=task.task_id, attempt=task.attempts,
                         error=str(error))
@@ -488,27 +517,15 @@ def run_supervised_sweep(spec, *,
         else:
             escalate(task, error)
 
-    def drain_heartbeats() -> None:
-        """Apply queued heartbeats (stale task ids — from workers already
-        collected or killed — are simply ignored)."""
-        while True:
-            try:
-                task_id, completed = heartbeats.get_nowait()
-            except queue_module.Empty:
-                return
-            worker = running.get(task_id)
-            if worker is not None:
-                worker.last_beat = time.monotonic()
-                if completed > worker.completed:
-                    worker.completed = completed
-
     last_tick = time.monotonic()
     try:
         while pending or running:
             while pending and len(running) < workers:
                 launch(pending.popleft())
 
-            drain_heartbeats()
+            wait([worker.pipe for worker in running.values() if worker.open]
+                 + [worker.process.sentinel for worker in running.values()],
+                 timeout=config.poll_interval_s)
 
             now = time.monotonic()
             if (events.enabled and running
@@ -521,18 +538,17 @@ def run_supervised_sweep(spec, *,
                                 total=len(worker.task.addresses),
                                 lag_s=round(now - worker.last_beat, 3))
 
-            for task_id in list(running):
-                worker = running[task_id]
+            for worker in list(running.values()):
                 process, task = worker.process, worker.task
+                # Read the exit code first: once it is set, everything
+                # the worker sent is already in its pipe.
                 exitcode = process.exitcode
+                worker.receive()
                 if exitcode is not None:
-                    # A worker's last beats may land after the drain
-                    # above; an exited writer has flushed them.
-                    drain_heartbeats()
                     process.join()
-                    del running[task_id]
-                    ingest_worker_journal(worker)
-                    if exitcode == 0 and collect(task):
+                    reap(worker)
+                    if exitcode == 0 and worker.result is not None:
+                        collect(task, worker.result)
                         events.emit(ev.WORKER_EXIT, shard=task.shard,
                                     task=task.task_id, exitcode=0,
                                     clean=True, completed=worker.completed)
@@ -556,8 +572,7 @@ def run_supervised_sweep(spec, *,
                     if process.is_alive():
                         process.kill()
                         process.join()
-                    del running[task_id]
-                    ingest_worker_journal(worker)
+                    reap(worker)
                     events.emit(ev.WORKER_HUNG_KILL, shard=task.shard,
                                 task=task.task_id, lag_s=round(lag, 3),
                                 completed=worker.completed)
@@ -566,18 +581,19 @@ def run_supervised_sweep(spec, *,
                         f"shard timeout {config.shard_timeout_s}s)",
                         shard=task.shard, exitcode=process.exitcode,
                         hung=True, attempts=task.attempts + 1))
-
-            if running:
-                time.sleep(config.poll_interval_s)
+    except BaseException:
+        # A fatal worker error or an interrupt ends the sweep here; the
+        # journal keeps what it recorded so far.
+        if journal is not None:
+            journal.close()
+        raise
     finally:
         for worker in running.values():
             worker.process.kill()
             worker.process.join()
-        heartbeats.close()
-        heartbeats.join_thread()
-        # Result files, worker journals and throwaway shard stores are
-        # transient; a caller's ``PATH.shardNN`` stores live beside
-        # ``PATH`` and are folded by ``run_sharded_sweep``.
+            worker.pipe.close()
+        # Worker journals and the throwaway store are transient; a
+        # caller's store lives on.
         shutil.rmtree(workdir, ignore_errors=True)
 
     results.sort(key=lambda result: result["shard"])

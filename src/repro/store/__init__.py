@@ -21,7 +21,6 @@ from repro.store.binding import (
     quarantine_store,
     replayed_counter_baseline,
     restore_instances,
-    shard_store_path,
 )
 from repro.store.maintenance import FsckReport, fsck, stats, vacuum
 from repro.store.schema import MIGRATIONS, SCHEMA, VERSION
@@ -44,7 +43,6 @@ __all__ = [
     "quarantine_store",
     "replayed_counter_baseline",
     "restore_instances",
-    "shard_store_path",
     "stats",
     "vacuum",
 ]

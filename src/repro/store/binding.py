@@ -5,7 +5,9 @@ actually holds: the three §6.1 dedup caches (plus the selector-set
 cache) as *write-through dicts* hydrated from the store, and the
 per-contract record hooks that commit one transaction per finished
 contract.  The pipeline keeps using plain ``dict`` operations — the
-binding makes them durable.
+binding makes them durable.  A cache insert is staged in memory and
+written in the next contract's commit, so a binding holds SQLite's write
+lock only while it commits, never while it analyzes.
 
 Failure philosophy (the robustness headline):
 
@@ -19,6 +21,12 @@ Failure philosophy (the robustness headline):
 * schema mismatches are the one *loud* failure
   (:class:`~repro.errors.ConfigurationError`): silently ignoring a
   future layout risks corrupting it.
+
+A sharded sweep has one store too.  The parent opens or creates it, and
+every worker binds to that same file with :func:`open_worker_binding`:
+it opens the file as it is, never quarantines it, and falls back to
+in-memory caches if it cannot.  SQLite's WAL and busy timeout let the
+workers commit side by side: each waits at most for another's commit.
 
 Incremental restore and the counter-replay baseline live here too:
 :func:`restore_instances` re-surveys a grown corpus by fetching each
@@ -50,17 +58,6 @@ def _default_warn(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def shard_store_path(path: str, shard: int) -> str:
-    """The per-shard store of a parallel sweep.
-
-    Workers of different shards never share a writable database: shard
-    ``N`` writes ``PATH.shardNN``, a respawned worker resumes from it,
-    and the parent folds the shard stores into ``PATH`` after the
-    workers exit (:meth:`AnalysisStore.merge_from`).
-    """
-    return f"{path}.shard{shard:02d}"
-
-
 # ----------------------------------------------------------------- fact sets
 @dataclass(slots=True)
 class FactSet:
@@ -72,13 +69,6 @@ class FactSet:
         default_factory=dict)
     storage_reports: dict[tuple[bytes, bytes], Any] = field(
         default_factory=dict)
-
-    def absorb(self, other: "FactSet") -> None:
-        """Overlay ``other``'s facts (other wins on shared keys)."""
-        self.checks.update(other.checks)
-        self.selectors.update(other.selectors)
-        self.function_reports.update(other.function_reports)
-        self.storage_reports.update(other.storage_reports)
 
 
 def load_facts(store: AnalysisStore) -> FactSet:
@@ -93,7 +83,7 @@ def load_facts(store: AnalysisStore) -> FactSet:
 
 
 class _WriteThrough(dict):
-    """A dict whose inserts also persist through a (guarded) writer."""
+    """A dict whose inserts are also handed to a writer."""
 
     __slots__ = ("_write",)
 
@@ -124,19 +114,21 @@ class StoreBinding:
         self._warn = warn if warn is not None else _default_warn
         self._write_errors = None  # bound by :meth:`bind_metrics`
         self._reorg_invalidations = None
+        #: Fact writes waiting for the next commit.
+        self._staged: list[tuple[Callable, tuple]] = []
         facts = facts if facts is not None else load_facts(store)
         self.check_cache: dict = _WriteThrough(
             facts.checks,
-            lambda key, value: self._guard(store.save_check, key, value))
+            lambda key, value: self._stage(store.save_check, key, value))
         self.selector_cache: dict = _WriteThrough(
             facts.selectors,
-            lambda key, value: self._guard(store.save_selectors, key, value))
+            lambda key, value: self._stage(store.save_selectors, key, value))
         self.function_cache: dict = _WriteThrough(
             facts.function_reports,
-            lambda key, value: self._guard(self._save_function, key, value))
+            lambda key, value: self._stage(self._save_function, key, value))
         self.storage_cache: dict = _WriteThrough(
             facts.storage_reports,
-            lambda key, value: self._guard(self._save_storage, key, value))
+            lambda key, value: self._stage(self._save_storage, key, value))
 
     # ------------------------------------------------------------- plumbing
     def bind_metrics(self, registry) -> None:
@@ -149,6 +141,7 @@ class StoreBinding:
         if self.disabled:
             return
         self.disabled = True
+        self._staged.clear()
         if self._write_errors is not None:
             self._write_errors.inc()
         self._warn(f"store: {reason} — continuing with in-memory caches "
@@ -163,6 +156,16 @@ class StoreBinding:
             raise
         except Exception as error:
             self.disable(f"write to {self.path!r} failed ({error})")
+
+    def _stage(self, write: Callable, *args) -> None:
+        if not self.disabled:
+            self._staged.append((write, args))
+
+    def _flush(self) -> None:
+        """Write the staged facts into the open transaction."""
+        staged, self._staged = self._staged, []
+        for write, args in staged:
+            write(*args)
 
     def _save_function(self, pair: tuple[bytes, bytes], report) -> None:
         self.store.save_collision_report(
@@ -180,6 +183,7 @@ class StoreBinding:
         self._guard(self._commit_analysis, analysis)
 
     def _commit_analysis(self, analysis: ContractAnalysis) -> None:
+        self._flush()
         self.store.save_analysis(analysis)
         self.store.commit()
 
@@ -187,6 +191,7 @@ class StoreBinding:
         self._guard(self._commit_failure, failure)
 
     def _commit_failure(self, failure: ContractFailure) -> None:
+        self._flush()
         self.store.save_failure(failure)
         self.store.commit()
 
@@ -194,6 +199,7 @@ class StoreBinding:
         self._guard(self._commit_skip, address)
 
     def _commit_skip(self, address: bytes) -> None:
+        self._flush()
         self.store.save_skip(address)
         self.store.commit()
 
@@ -222,6 +228,7 @@ class StoreBinding:
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
+        self._guard(self._flush)
         try:
             self.store.close()
         except Exception as error:
@@ -320,51 +327,43 @@ def attach_store(path: str, *, incremental: bool = False,
                         warn=warn)
 
 
-def open_worker_binding(store_spec: tuple[str, bool] | None,
-                        shard_index: int,
+def open_worker_binding(store_path: str | None,
+                        shard_index: int, *,
+                        incremental: bool = False,
                         warn: Callable[[str], None] = _default_warn,
                         ) -> StoreBinding | None:
-    """One shard worker's binding: warm facts in, shard store out.
+    """One shard worker's binding over the sweep's one store.
 
-    The worker *reads* hash-keyed facts from the main store (when the
-    sweep is incremental — WAL lets it share the file with the parent's
-    reader) but *writes* only to its own :func:`shard_store_path`
-    database; the parent merges afterwards.  The binding is
-    ``incremental`` over the shard store: a first attempt finds it empty
-    (the parent salvages stale shard stores before dispatch), a
-    respawned attempt restores the committed prefix of the attempt that
-    died.  The main store's instances are restored by the parent, which
-    dispatches only the pending addresses.
+    The parent created the store and dropped the instance rows of every
+    address it dispatches, so the worker opens the existing file as it
+    is: any error but a schema mismatch leaves it on in-memory caches.
+    Every worker hydrates the store's hash-keyed facts, as a serial
+    ``--store`` sweep does.  ``incremental`` is for a respawned attempt:
+    it restores what the attempts before it committed, so a first
+    attempt never scans a large warm store.
     """
-    if store_spec is None:
-        return None
-    path, incremental = store_spec
-    shard_path = shard_store_path(path, shard_index)
-    store = open_store(shard_path, warn=warn)
-    if store is None:
+    if store_path is None:
         return None
     try:
-        facts = load_facts(store)  # a respawned worker re-reads its own
+        store = AnalysisStore(store_path)
+    except ConfigurationError:
+        raise
     except Exception as error:
-        warn(f"store: shard store {shard_path!r} is unreadable ({error}) "
-             f"— shard {shard_index} runs with in-memory caches only")
+        warn(f"store: cannot open {store_path!r} ({error}) — shard "
+             f"{shard_index} runs with in-memory caches only")
+        return None
+    try:
+        facts = load_facts(store)
+    except Exception as error:
+        warn(f"store: {store_path!r} has unreadable fact rows ({error}) — "
+             f"shard {shard_index} runs with in-memory caches only")
         try:
             store.close()
         except Exception:
             pass
         return None
-    if incremental:
-        try:
-            with AnalysisStore(path) as main:
-                warm = load_facts(main)
-            warm.absorb(facts)   # the shard's own (newer) facts win
-            facts = warm
-        except ConfigurationError:
-            raise
-        except Exception as error:
-            warn(f"store: cannot hydrate warm facts from {path!r} "
-                 f"({error}) — shard {shard_index} sweeps cold")
-    return StoreBinding(store, incremental=True, facts=facts, warn=warn)
+    return StoreBinding(store, incremental=incremental, facts=facts,
+                        warn=warn)
 
 
 # ------------------------------------------------------- incremental restore
@@ -498,5 +497,4 @@ __all__ = [
     "quarantine_store",
     "replayed_counter_baseline",
     "restore_instances",
-    "shard_store_path",
 ]

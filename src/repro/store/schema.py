@@ -130,11 +130,11 @@ CREATE INDEX IF NOT EXISTS idx_collisions_kind ON collisions(kind);
 def connect(path: str, *, busy_timeout_ms: int = 30_000) -> sqlite3.Connection:
     """Open ``path`` with the store's durability pragmas.
 
-    WAL journaling gives single-writer-many-reader concurrency (shard
-    stores are merged by a parent that may still be reading the main
-    store) and crash-safe commits; ``busy_timeout`` makes a concurrent
+    WAL journaling gives single-writer-many-reader concurrency (the
+    workers of a sharded sweep all commit into one store while readers
+    query it) and crash-safe commits; ``busy_timeout`` makes a concurrent
     writer *wait* instead of raising ``database is locked`` — the WAL
-    discipline the concurrent-shard-writer test exercises.
+    discipline the concurrent-writer test exercises.
     """
     # check_same_thread=False: the serve daemon commits miss-path writes
     # from HTTP request threads while the chain follower holds the same

@@ -19,11 +19,9 @@ records served by ``repro explain --store`` and ``repro serve``.
 from __future__ import annotations
 
 import json
-import sqlite3
 from typing import Any, Iterable
 
 from repro.core.report import ContractAnalysis, ContractFailure, LandscapeReport
-from repro.errors import ConfigurationError
 from repro.landscape.serialize import (
     analysis_to_dict,
     dict_to_analysis,
@@ -31,7 +29,7 @@ from repro.landscape.serialize import (
     failure_to_dict,
 )
 from repro.store import facts as factser
-from repro.store.schema import SCHEMA, connect, ensure_schema
+from repro.store.schema import connect, ensure_schema
 
 _JSON = {"separators": (",", ":"), "sort_keys": True}
 
@@ -283,63 +281,6 @@ class AnalysisStore:
         for failure in report.failures.values():
             self.save_failure(failure)
         self._connection.commit()
-
-    def merge_from(self, shard_path: str) -> None:
-        """Fold one shard store into this one.
-
-        The parent of a parallel sweep merges each worker's
-        ``PATH.shardNN`` store after the workers exit — single writer per
-        file during the sweep, one ATTACH-copy transaction per shard
-        afterwards.  Facts are idempotent (content-addressed, so REPLACE
-        is a no-op on equal rows); instance rows displace any stale row
-        of another kind for the same address.
-        """
-        connection = self._connection
-        connection.commit()          # ATTACH refuses inside a transaction
-        connection.execute("ATTACH DATABASE ? AS shard", (shard_path,))
-        try:
-            tag = connection.execute(
-                "SELECT value FROM shard.meta WHERE key = 'schema'"
-            ).fetchone()
-            if tag is None or tag[0] != SCHEMA:
-                raise ConfigurationError(
-                    f"shard store {shard_path!r} has schema "
-                    f"{tag[0] if tag else None!r}, expected {SCHEMA!r} — "
-                    f"refusing to merge")
-            connection.execute("BEGIN")
-            for table in ("proxy_verdicts", "selector_sets",
-                          "collision_results"):
-                connection.execute(
-                    f"INSERT OR REPLACE INTO {table} "
-                    f"SELECT * FROM shard.{table}")
-            for target in ("analyses", "failures", "skips"):
-                for source in ("analyses", "failures", "skips"):
-                    if source == target:
-                        continue
-                    connection.execute(
-                        f"DELETE FROM {target} WHERE address IN "
-                        f"(SELECT address FROM shard.{source})")
-                connection.execute(
-                    f"INSERT OR REPLACE INTO {target} "
-                    f"SELECT * FROM shard.{target}")
-            for table in ("logic_links", "collisions"):
-                connection.execute(
-                    f"DELETE FROM {table} WHERE proxy IN "
-                    f"(SELECT address FROM shard.analyses)")
-            connection.execute(
-                "INSERT OR REPLACE INTO logic_links "
-                "SELECT * FROM shard.logic_links")
-            connection.execute(
-                "INSERT INTO collisions SELECT * FROM shard.collisions")
-            connection.execute("COMMIT")
-        except BaseException:
-            try:
-                connection.execute("ROLLBACK")
-            except sqlite3.Error:
-                pass
-            raise
-        finally:
-            connection.execute("DETACH DATABASE shard")
 
     # ------------------------------------------------- offline query surface
     def contract_count(self) -> int:

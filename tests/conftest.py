@@ -60,12 +60,11 @@ class ParentKilled(Exception):
 @pytest.fixture()
 def parent_killed_before_fold(monkeypatch):
     """Context manager: a stored sharded sweep run inside it loses its
-    parent between worker exit and the fold of the shard stores — like a
-    ``kill -9`` at that point, every ``PATH.shardNN`` store stays behind
-    for the next sweep to salvage."""
+    parent between worker exit and ``_fold_store`` — like a ``kill -9``
+    at that point.  What the workers committed is already in the one
+    store, for the next ``--incremental`` sweep to restore."""
 
-    def die(result, store, *_rest):
-        store.close()
+    def die(*_args):
         raise ParentKilled
 
     @contextlib.contextmanager

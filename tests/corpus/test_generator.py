@@ -22,6 +22,15 @@ def test_different_seeds_differ() -> None:
     assert first.addresses() != second.addresses()
 
 
+def test_landscape_lists_addresses_in_dataset_order() -> None:
+    """One sweep order: the landscape lists its contracts as the dataset
+    does.  The generator's truth dict holds the same set, but here three
+    adjacent pairs sit swapped."""
+    world = generate_landscape(total=250, seed=42)
+    assert list(world.truths) != world.dataset.addresses()
+    assert world.addresses() == world.dataset.addresses()
+
+
 def test_all_truth_contracts_deployed(landscape: Landscape) -> None:
     for address in landscape.truths:
         assert landscape.chain.state.get_code(address), address.hex()

@@ -13,7 +13,7 @@ leg's own checks run.
   analyzed identically or quarantined, none lost;
 * :func:`crash` — worker-crash plans: analyzed records identical, every
   failure a ``worker-crash`` quarantine the supervisor counted, none
-  lost.  ``summary.dedup`` is not compared: a salvaged shard prefix
+  lost.  ``summary.dedup`` is not compared: a salvaged prefix
   carries no cache counters, so merged hit/miss totals undercount;
 * :func:`reorg` — survivors identical, nothing quarantined, and an
   address may be missing only if an injected reorg fired.
@@ -214,9 +214,12 @@ def run_cli(cell: Cell, spelling: str) -> None:
     if "{store}" in spelling:
         verdict = fsck(cell.path("sweep.store"))
         assert verdict.clean, verdict.issues
-        shards = [name for name in os.listdir(cell.directory)
-                  if ".shard" in name]
-        assert not shards, f"shard stores not folded: {shards}"
+        # One database file, at most with its WAL sidecars: no shard
+        # store, whatever the worker count.
+        files = {name for name in os.listdir(cell.directory)
+                 if name.startswith("sweep.store")}
+        assert {"sweep.store"} <= files <= {
+            "sweep.store", "sweep.store-wal", "sweep.store-shm"}, files
         cell.bodies = served(cell.path("sweep.store"),
                              corpus.world.addresses())
 

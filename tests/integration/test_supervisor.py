@@ -10,7 +10,7 @@ quarantined ``worker-crash`` records.
 from __future__ import annotations
 
 import json
-import multiprocessing
+import os
 
 import pytest
 
@@ -78,7 +78,7 @@ def test_windowed_crash_recovers_by_respawn(spec, world, serial,
     """A window-scoped crash models an OOM kill.  The window is a
     per-process call index, so every attempt with enough calls left dies
     there again; each respawn resumes from what its predecessors
-    committed to the shard store, a task past its retry budget is
+    committed to the sweep's store, a task past its retry budget is
     bisected, and the sweep converges with nothing quarantined."""
     from repro.obs.console import journal_snapshot
 
@@ -97,7 +97,7 @@ def test_windowed_crash_recovers_by_respawn(spec, world, serial,
         == result.respawns
 
     # A respawned attempt restored its predecessor's committed contracts
-    # from the shard store, journaled it, and `repro status` counts it.
+    # from the store, journaled it, and `repro status` counts it.
     events = ev.read_journal(journal_path).events
     respawned = {event.attrs["worker_pid"] for event in events
                  if event.kind == ev.WORKER_SPAWN
@@ -219,24 +219,24 @@ def test_flight_recorder_replays_the_supervised_lifecycle(spec, world,
 def test_supervised_checkpoints_use_shard_naming(spec, world, tmp_path,
                                                  parent_killed_before_fold
                                                  ) -> None:
-    """Supervised workers commit to ``PATH.shardNN`` stores — the names
-    the next sweep's salvage looks for when the parent died before its
-    fold."""
-    import sqlite3
-    from contextlib import closing
+    """Supervised workers commit into the one store, not into
+    ``PATH.shardNN`` files: a parent killed before its fold leaves one
+    database, plus at most its WAL sidecars, that settles every
+    contract."""
+    from repro.store import AnalysisStore, fsck
 
     base = str(tmp_path / "sweep.store")
     with parent_killed_before_fold():
         run_sharded_sweep(spec, workers=2, world=world, processes=True,
                           store_path=base,
                           supervise=SupervisorConfig(**FAST))
-    for shard in range(2):
-        path = tmp_path / f"sweep.store.shard{shard:02d}"
-        assert path.exists()
-        with closing(sqlite3.connect(path)) as connection:
-            (schema,) = connection.execute(
-                "SELECT value FROM meta WHERE key = 'schema'").fetchone()
-        assert schema == "repro.store/1"
+    assert {"sweep.store"} <= set(os.listdir(tmp_path)) \
+        <= {"sweep.store", "sweep.store-wal", "sweep.store-shm"}
+    assert fsck(base).clean
+    with AnalysisStore(base) as store:
+        settled = (set(store.load_analyses()) | set(store.load_failures())
+                   | store.load_skips())
+    assert settled == set(world.addresses())
 
 
 def test_fatal_misconfiguration_fails_loudly_not_healed(world,
@@ -257,14 +257,13 @@ def test_fatal_misconfiguration_fails_loudly_not_healed(world,
 
 def test_unopenable_shard_store_still_heartbeats_per_contract(
         spec, world, serial, tmp_path, monkeypatch) -> None:
-    """The heartbeat comes from the pipeline, not the store: a worker
-    whose shard store cannot be opened sweeps on in-memory caches and
-    still beats once per settled contract, so it is never hung-killed."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("the patched opener reaches workers only by fork")
-    from repro.store import binding
+    """The heartbeat comes from the pipeline, not the store: when the
+    sweep's store cannot be created, workers sweep on in-memory caches,
+    still beat once per settled contract, so they are never hung-killed,
+    and their results reach the report over their pipes."""
+    from repro.parallel import supervisor
 
-    monkeypatch.setattr(binding, "open_store",
+    monkeypatch.setattr(supervisor, "open_store",
                         lambda path, warn=None: None)
     journal_path = str(tmp_path / "sweep.events.jsonl")
     result = run_sharded_sweep(spec, workers=2, world=world, processes=True,

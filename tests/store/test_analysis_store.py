@@ -1,4 +1,4 @@
-"""The durable analysis store: instances, merge, schema discipline."""
+"""The durable analysis store: instances and schema discipline."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from repro.core.report import ContractFailure
 from repro.corpus.generator import generate_landscape
 from repro.errors import ConfigurationError
 from repro.landscape.serialize import analysis_to_dict
-from repro.store import AnalysisStore, StoreBinding, shard_store_path
+from repro.store import AnalysisStore, StoreBinding
 from repro.store import schema as store_schema
 
 TOTAL, SEED = 60, 9
@@ -74,34 +74,6 @@ def test_instance_tables_are_mutually_exclusive(analyses) -> None:
     assert store.load_analyses() == {}
     assert store.load_skips() == {address}
     store.close()
-
-
-def test_merge_from_folds_shard_stores(tmp_path, report,
-                                       analyses) -> None:
-    main_path = str(tmp_path / "main.store")
-    half = len(analyses) // 2
-    parts = (analyses[:half], analyses[half:])
-    for shard, chunk in enumerate(parts):
-        with AnalysisStore(shard_store_path(main_path, shard)) as shard_db:
-            for analysis in chunk:
-                shard_db.save_analysis(analysis)
-            shard_db.commit()
-    with AnalysisStore(main_path) as store:
-        for shard in range(2):
-            store.merge_from(shard_store_path(main_path, shard))
-        assert len(store.load_analyses()) == len(report.analyses)
-
-
-def test_merge_refuses_a_foreign_shard(tmp_path) -> None:
-    alien = str(tmp_path / "alien.sqlite")
-    connection = sqlite3.connect(alien)
-    connection.execute("CREATE TABLE meta (key TEXT, value TEXT)")
-    connection.execute("INSERT INTO meta VALUES ('schema', 'other/1')")
-    connection.commit()
-    connection.close()
-    with AnalysisStore(str(tmp_path / "m.store")) as store:
-        with pytest.raises(ConfigurationError):
-            store.merge_from(alien)
 
 
 def test_newer_schema_is_refused_loudly(tmp_path) -> None:

@@ -95,7 +95,7 @@ def test_kill9_mid_sweep_leaves_a_resumable_store(tmp_path) -> None:
 
 
 def test_concurrent_writers_share_one_store_via_wal(tmp_path) -> None:
-    """Bisected halves of a shard write the same file; WAL absorbs it."""
+    """The workers of a sharded sweep write the same file; WAL absorbs it."""
     world = generate_landscape(total=TOTAL, seed=SEED)
     proxion = Proxion.from_chain(world.chain, registry=world.registry,
                                  dataset=world.dataset)

@@ -2,10 +2,10 @@
 
 The legacy ResultStore hung off the end of the *serial* path only; the
 durable store is wired through the sharded engine and the supervisor, so
-every robustness feature composes.  Shard workers write their own
-``PATH.shardNN`` stores (single writer per file) and the parent folds
-them back — these tests pin both the byte-identity of the report and
-the cleanup of the shard stores.
+every robustness feature composes.  Every shard worker commits into the
+sweep's one store, and nothing is folded afterwards — these tests pin
+both the byte-identity of the report and that no file but the store is
+left behind.
 """
 
 from __future__ import annotations
@@ -131,28 +131,54 @@ def test_three_shard_prefix_resumes_on_two_workers(tmp_path, spec, world,
     _no_shard_leftovers(tmp_path)
 
 
+def test_unwritable_store_is_swept_around(tmp_path, spec, world,
+                                          serial_json, monkeypatch) -> None:
+    """A store the parent cannot write before dispatch is left as it is:
+    the workers sweep on the supervisor's own store instead, and the
+    report is still the serial one."""
+    import sqlite3
+
+    from repro.store import AnalysisStore
+
+    def refuse(self, addresses):
+        raise sqlite3.OperationalError("attempt to write a readonly database")
+
+    monkeypatch.setattr(AnalysisStore, "invalidate_instances", refuse)
+    path = str(tmp_path / "readonly.store")
+    result = run_sharded_sweep(spec, workers=2, world=world, processes=True,
+                               store_path=path)
+    assert report_to_json(result.report) == serial_json
+    with AnalysisStore(path) as store:
+        assert store.load_analyses() == {}
+
+
 def test_stale_shard_stores_are_salvaged(tmp_path, spec, world,
-                                         serial_json) -> None:
-    """A parent killed before folding leaves PATH.shardNN files; the next
-    sweep merges them so their contracts count as already settled."""
-    from repro.store import AnalysisStore, attach_store, shard_store_path
+                                         serial_json,
+                                         parent_killed_before_fold) -> None:
+    """A parent killed before its fold leaves its workers' rows in the
+    one store, and the next sweep counts them as settled.  A leftover
+    ``PATH.shardNN`` file of an older version is no longer read."""
+    from repro.store import attach_store
 
     path = str(tmp_path / "salvage.store")
     addresses = world.addresses()
     half = len(addresses) // 2
-    # Emulate the wreckage: a shard store with committed work (facts and
-    # instances, exactly as a worker binding writes them), no parent fold
-    # (the parent "died" between worker exit and merge).
-    with attach_store(shard_store_path(path, 1)) as shard_binding:
+    with parent_killed_before_fold():
+        run_sharded_sweep(spec, workers=2, world=world, processes=True,
+                          addresses=addresses[:half], store_path=path)
+    # An older version's wreckage, settling the other half.
+    legacy = path + ".shard01"
+    with attach_store(legacy) as shard_binding:
         proxion = Proxion.from_chain(world.chain, registry=world.registry,
                                      dataset=world.dataset,
                                      store=shard_binding)
-        proxion.analyze_all(addresses[:half])
-    AnalysisStore(path).close()
+        proxion.analyze_all(addresses[half:])
 
     result = run_sharded_sweep(spec, workers=2, world=world,
                                processes=False, store_path=path,
                                incremental=True)
     assert report_to_json(result.report) == serial_json
-    assert result.store_restored > 0  # the wreck's commits were recovered
-    assert not os.path.exists(shard_store_path(path, 1))
+    assert result.store_restored > 0  # the killed sweep's commits
+    assert sum(stats.addresses for stats in result.shards) \
+        == len(addresses) - half  # the legacy file's were re-analyzed
+    assert os.path.exists(legacy)

@@ -196,11 +196,13 @@ def test_survey_checkpoint_and_resume(tmp_path, capsys,
 
 
 def test_survey_resume_without_checkpoint_errors(capsys) -> None:
-    """--checkpoint/--resume are removed; both still parse, only to point
-    at the one way to resume."""
+    # The retired flags no longer parse: a sweep resumes only with
+    # --store PATH --incremental.
     for flags in (["--resume"], ["--checkpoint", "sweep.ckpt"]):
-        assert main(["survey", "--total", "40", *flags]) == 2
-        assert "--store PATH --incremental" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as refused:
+            main(["survey", "--total", "40", *flags])
+        assert refused.value.code == 2
+        assert flags[0] in capsys.readouterr().err
 
 
 def test_survey_parallel_json_matches_serial(capsys) -> None:
@@ -216,13 +218,15 @@ def test_survey_parallel_json_matches_serial(capsys) -> None:
 def test_survey_parallel_keeps_the_serial_address_order(capsys,
                                                        monkeypatch) -> None:
     """--workers lists contracts in the dataset's order, as the serial
-    sweep does, even where the generator's truth order differs (it does
-    at 250 contracts, seed 42)."""
-    from repro.corpus.generator import Landscape
+    sweep does: both follow the dataset, whatever order it holds."""
+    from repro.chain.dataset import ContractDataset
+    assert main(["survey", "--total", "20", "--seed", "3", "--json"]) == 0
+    unpatched = capsys.readouterr().out
+    monkeypatch.setattr(ContractDataset, "addresses",
+                        lambda self: list(self._records)[::-1])
     assert main(["survey", "--total", "20", "--seed", "3", "--json"]) == 0
     serial = capsys.readouterr().out
-    monkeypatch.setattr(Landscape, "addresses",
-                        lambda self: list(self.truths)[::-1])
+    assert serial != unpatched
     assert main(["survey", "--total", "20", "--seed", "3", "--json",
                  "--workers", "2"]) == 0
     assert capsys.readouterr().out == serial
@@ -241,13 +245,14 @@ def test_survey_parallel_rejects_per_process_outputs(tmp_path,
 def test_survey_parallel_checkpoints_per_shard(tmp_path, capsys,
                                               parent_killed_before_fold
                                               ) -> None:
-    """Each worker checkpoints into its own PATH.shardNN store; when the
-    parent dies before folding them, the next --incremental run salvages
-    every shard and re-analyzes nothing."""
+    """Every worker checkpoints into the one --store file; when the
+    parent dies before its fold, the workers' rows are already there,
+    and the next --incremental run restores them and re-analyzes
+    nothing."""
     import json
     import os
 
-    from repro.store import AnalysisStore, shard_store_path
+    from repro.store import AnalysisStore
 
     argv = ["survey", "--total", "40", "--seed", "5", "--json"]
     assert main(argv) == 0
@@ -257,21 +262,53 @@ def test_survey_parallel_checkpoints_per_shard(tmp_path, capsys,
     with parent_killed_before_fold():
         main([*argv, "--workers", "2", "--store", base])
     capsys.readouterr()
-    committed = 0
-    for shard in range(2):
-        assert os.path.exists(shard_store_path(base, shard))
-        with AnalysisStore(shard_store_path(base, shard)) as store:
-            committed += len(store.load_analyses()) \
-                + len(store.load_failures())
+    with AnalysisStore(base) as store:
+        committed = len(store.load_analyses()) + len(store.load_failures())
 
     assert main([*argv, "--workers", "2", "--store", base, "--incremental",
                  "--metrics"]) == 0
     resumed = json.loads(capsys.readouterr().out)
     counters = resumed.pop("metrics")["counters"]
     assert resumed == cold
-    assert counters["pipeline.store_restored_contracts"] == committed > 0
-    assert not os.path.exists(shard_store_path(base, 0))
-    assert not os.path.exists(shard_store_path(base, 1))
+    assert counters["pipeline.store_restored_contracts"] == committed \
+        == len(cold["contracts"]) + len(cold["failures"])
+    assert not [name for name in os.listdir(tmp_path) if ".shard" in name]
+
+
+def test_survey_poison_quarantines_persist_in_the_store(tmp_path, capsys,
+                                                       monkeypatch) -> None:
+    """The supervisor commits each poison quarantine to the sweep's
+    store: an --incremental rerun restores it without spawning a worker,
+    and the store answers the poison contract as quarantined."""
+    import json
+
+    from repro import api
+    from repro.parallel import supervisor
+    from repro.store import AnalysisStore
+
+    store = str(tmp_path / "poison.store")
+    argv = ["survey", "--total", "40", "--seed", "7", "--json",
+            "--workers", "3", "--chaos", "worker-poison",
+            "--chaos-seed", "99", "--shard-timeout", "3",
+            "--max-shard-retries", "1", "--store", store]
+    assert main(argv) == 0
+    first = json.loads(capsys.readouterr().out)
+    poison = [record["address"] for record in first["failures"]
+              if record["cause"] == "worker-crash"]
+    assert poison
+
+    def spawn(*_args, **_kwargs):
+        raise AssertionError("the rerun dispatched contracts to workers")
+
+    monkeypatch.setattr(supervisor, "run_supervised_sweep", spawn)
+    assert main([*argv, "--incremental"]) == 0
+    rerun = json.loads(capsys.readouterr().out)
+    assert rerun["contracts"] == first["contracts"]
+    assert rerun["failures"] == first["failures"]
+    with AnalysisStore(store) as reader:
+        for address in poison:
+            answer = api.answer_from_store(reader, bytes.fromhex(address[2:]))
+            assert answer.verdict == api.VERDICT_QUARANTINED
 
 
 def test_survey_parallel_chaos_matches_clean_sweep(capsys) -> None:
