@@ -531,6 +531,12 @@ class Proxion:
         call settles (analysis, skip or quarantine, already committed when
         a store is bound) with the running count of settled addresses,
         restored ones included — the sweep supervisor's heartbeat.
+
+        The report lists its contracts in ``addresses`` order, restored
+        or not, and its dedup fields are replayed from them
+        (:meth:`~repro.core.report.LandscapeReport.replay_dedup`): a
+        resumed or warm-store sweep reports what a cold one does, while
+        the registry's ``dedup.*`` counters say what this call computed.
         """
         if addresses is None:
             if self.dataset is None:
@@ -539,7 +545,9 @@ class Proxion:
             addresses = self.dataset.addresses()
         report = LandscapeReport()
         done: frozenset[bytes] = frozenset()
-        store_restored = None
+        # Restored analyses and failures by address; a restored skip is
+        # in ``done`` only.
+        restored: dict[bytes, ContractAnalysis | ContractFailure] = {}
         if self.store is not None and self.store.incremental:
             # Incremental re-sweep (repro.store): re-survey the corpus by
             # fetching each address's code and restoring every instance
@@ -558,16 +566,13 @@ class Proxion:
                                    f"failed ({error})")
                 store_restored = None
             if store_restored is not None:
-                for analysis in store_restored.analyses:
-                    report.add(analysis)
-                for failure in store_restored.failures:
-                    report.add_failure(failure)
+                restored = {record.address: record for record
+                            in (*store_restored.analyses,
+                                *store_restored.failures)}
                 done = frozenset(store_restored.completed)
-                restored = (len(store_restored.analyses)
-                            + len(store_restored.failures))
                 skips = len(store_restored.skips)
                 self.metrics.counter("pipeline.store_restored_contracts").inc(
-                    restored)
+                    len(restored))
                 self.metrics.counter("pipeline.store_restored_skips").inc(
                     skips)
                 if store_restored.invalidated:
@@ -577,18 +582,20 @@ class Proxion:
                     # The event kind and its recovered_truncations key
                     # predate the store; both are kept so the
                     # repro.events/1 shape is unchanged.
-                    self.events.emit(CHECKPOINT_RESUME, restored=restored,
-                                     skips=skips, recovered_truncations=0)
-        hits_before = {c: counter.value
-                       for c, counter in self._dedup_hits.items()}
-        misses_before = {c: counter.value
-                         for c, counter in self._dedup_misses.items()}
+                    self.events.emit(CHECKPOINT_RESUME,
+                                     restored=len(restored), skips=skips,
+                                     recovered_truncations=0)
         self.events.emit(PIPELINE_START, contracts=len(addresses),
                          resumed=len(done))
         settled = len(done)
         with self.tracer.span("sweep", contracts=len(addresses)):
             for address in addresses:
                 if address in done:
+                    record = restored.get(address)
+                    if isinstance(record, ContractFailure):
+                        report.add_failure(record)
+                    elif record is not None:
+                        report.add(record)
                     continue
                 self._settle(report, address)
                 settled += 1
@@ -596,54 +603,7 @@ class Proxion:
                     on_settled(settled)
         if self.evm_profiler is not None:
             self.evm_profiler.flush_to(self.metrics)
-
-        def delta(before: dict, counters: dict, cache: str) -> int:
-            return int(counters[cache].value - before[cache])
-
-        report.proxy_check_cache_hits = delta(
-            hits_before, self._dedup_hits, "proxy_check")
-        report.proxy_check_cache_misses = delta(
-            misses_before, self._dedup_misses, "proxy_check")
-        report.function_cache_hits = delta(
-            hits_before, self._dedup_hits, "function_collision")
-        report.function_cache_misses = delta(
-            misses_before, self._dedup_misses, "function_collision")
-        report.storage_cache_hits = delta(
-            hits_before, self._dedup_hits, "storage_collision")
-        report.storage_cache_misses = delta(
-            misses_before, self._dedup_misses, "storage_collision")
-        report.collision_cache_hits = (report.function_cache_hits
-                                       + report.storage_cache_hits)
-        if store_restored is not None and store_restored.completed:
-            report = self._fold_restored(report, addresses, store_restored)
+        report.replay_dedup(self._state.get_code, self.options)
         self.events.emit(PIPELINE_END, analyses=len(report.analyses),
                          failures=len(report.failures))
         return report
-
-    def _fold_restored(self, report: LandscapeReport,
-                       addresses: list[bytes], restored) -> LandscapeReport:
-        """Make an incremental sweep byte-identical to a cold one.
-
-        Two adjustments: re-emit contracts in sweep order (restored rows
-        were pre-seeded before the delta, which interleaves wrongly when
-        an invalidated mid-corpus address was re-analyzed), and add the
-        replayed counter baseline — the dedup hits/misses a from-scratch
-        sweep would have accrued over the restored prefix (see
-        :func:`repro.store.binding.replayed_counter_baseline`).
-        """
-        from repro.landscape.merge import _COUNTER_FIELDS
-        from repro.store.binding import replayed_counter_baseline
-
-        ordered = LandscapeReport()
-        for address in addresses:
-            if address in report.analyses:
-                ordered.add(report.analyses[address])
-            elif address in report.failures:
-                ordered.add_failure(report.failures[address])
-        for name in _COUNTER_FIELDS:
-            setattr(ordered, name, getattr(report, name))
-        baseline = replayed_counter_baseline(
-            restored.analyses, self._state.get_code, self.options)
-        for name, value in baseline.items():
-            setattr(ordered, name, getattr(ordered, name) + value)
-        return ordered

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.core.function_collision import FunctionCollisionReport
 from repro.core.logic_finder import LogicHistory
@@ -84,15 +85,14 @@ class LandscapeReport:
 
     analyses: dict[bytes, ContractAnalysis] = field(default_factory=dict)
     failures: dict[bytes, ContractFailure] = field(default_factory=dict)
-    # §6.1 dedup effectiveness, one explicit hit/miss pair per cache
-    # (mirrors the ``dedup.hits``/``dedup.misses`` registry counters).
+    # §6.1 dedup effectiveness, one hit/miss pair per cache, set by
+    # :meth:`replay_dedup` from the analyses above.
     proxy_check_cache_hits: int = 0
     proxy_check_cache_misses: int = 0
     function_cache_hits: int = 0
     function_cache_misses: int = 0
     storage_cache_hits: int = 0
     storage_cache_misses: int = 0
-    collision_cache_hits: int = 0      # legacy: function + storage hits
 
     def add(self, analysis: ContractAnalysis) -> None:
         self.analyses[analysis.address] = analysis
@@ -100,6 +100,50 @@ class LandscapeReport:
 
     def add_failure(self, failure: ContractFailure) -> None:
         self.failures[failure.address] = failure
+
+    def replay_dedup(self, code_of: Callable[[bytes], bytes],
+                     options) -> None:
+        """Set the dedup fields to what a cold serial sweep counts.
+
+        Replays the three §6.1 caches of
+        :class:`~repro.core.pipeline.Proxion` over the analyses in report
+        order, starting empty.  The first sight of a codehash is a
+        proxy-check miss and every repeat a hit (every check misses
+        without ``options.dedup_by_code_hash``); the collision caches count
+        (proxy codehash, logic code) pairs the same way, over each
+        history's logic addresses that ``code_of`` finds code at, when
+        ``options`` enables them.  The block is a function of the settled
+        records alone: however a sweep ran (sharded, respawned, restored
+        from a store), it prints the serial numbers.  Logic code is keyed
+        by its bytes, so the replay hashes nothing.
+        """
+        checked: set[bytes] = set()
+        pairs: set[tuple[bytes, bytes]] = set()
+        check_hits = pair_hits = 0
+        for analysis in self.analyses.values():
+            if options.dedup_by_code_hash and analysis.code_hash in checked:
+                check_hits += 1
+            checked.add(analysis.code_hash)
+            if analysis.logic_history is None:
+                continue
+            for logic in analysis.logic_history.logic_addresses:
+                code = code_of(logic)
+                if not code:
+                    continue
+                pair = (analysis.code_hash, code)
+                if pair in pairs:
+                    pair_hits += 1
+                else:
+                    pairs.add(pair)
+        self.proxy_check_cache_hits = check_hits
+        self.proxy_check_cache_misses = len(self.analyses) - check_hits
+        pair_misses = len(pairs)
+        self.function_cache_hits, self.function_cache_misses = (
+            (pair_hits, pair_misses) if options.detect_function_collisions
+            else (0, 0))
+        self.storage_cache_hits, self.storage_cache_misses = (
+            (pair_hits, pair_misses) if options.detect_storage_collisions
+            else (0, 0))
 
     def quarantined(self) -> list[ContractFailure]:
         return list(self.failures.values())

@@ -4,9 +4,11 @@ The sharded sweep engine (:mod:`repro.parallel`) analyzes disjoint address
 partitions in separate workers and folds the partial reports back into one.
 The merge is *deterministic*: given ``order`` (the original sweep's full
 address list), analyses and failures are re-emitted in exactly the order
-the serial sweep would have produced, so the merged report serializes
-byte-identically to ``Proxion.analyze_all`` over the same addresses (see
-``docs/parallelism.md`` for the dedup-counter caveat per shard strategy).
+the serial sweep would have produced.  It carries no dedup counters: the
+caller replays ``summary.dedup`` over the merged analyses
+(:meth:`~repro.core.report.LandscapeReport.replay_dedup`), which makes the
+merged report serialize byte-identically to ``Proxion.analyze_all`` over
+the same addresses, whatever the partition.
 
 Shards must be disjoint: an address appearing in more than one partial
 report (whether analyzed or quarantined) is a partitioning bug, and the
@@ -21,17 +23,6 @@ from typing import Iterable, Sequence
 from repro.core.report import ContractAnalysis, ContractFailure, LandscapeReport
 from repro.errors import ConfigurationError
 
-#: The per-cache counter fields a merge sums, in declaration order.
-_COUNTER_FIELDS = (
-    "proxy_check_cache_hits",
-    "proxy_check_cache_misses",
-    "function_cache_hits",
-    "function_cache_misses",
-    "storage_cache_hits",
-    "storage_cache_misses",
-    "collision_cache_hits",
-)
-
 
 def merge_reports(reports: Iterable[LandscapeReport],
                   order: Sequence[bytes] | None = None) -> LandscapeReport:
@@ -41,7 +32,7 @@ def merge_reports(reports: Iterable[LandscapeReport],
     iteration order of the merged ``analyses``/``failures`` mappings;
     addresses absent from every partial report (dead contracts) are
     skipped.  Without ``order``, partial reports concatenate in the given
-    sequence.  Dedup hit/miss counters are summed across shards.
+    sequence.  The merged report's dedup fields are left at zero.
 
     Raises :class:`~repro.errors.ConfigurationError` when two partial
     reports claim the same address.
@@ -49,7 +40,6 @@ def merge_reports(reports: Iterable[LandscapeReport],
     reports = list(reports)
     analyses: dict[bytes, ContractAnalysis] = {}
     failures: dict[bytes, ContractFailure] = {}
-    counters = dict.fromkeys(_COUNTER_FIELDS, 0)
 
     for index, report in enumerate(reports):
         for address in report.analyses.keys() | report.failures.keys():
@@ -60,8 +50,6 @@ def merge_reports(reports: Iterable[LandscapeReport],
                     f"report #{index}) — shard partitions must be disjoint")
         analyses.update(report.analyses)
         failures.update(report.failures)
-        for field in _COUNTER_FIELDS:
-            counters[field] += getattr(report, field)
 
     merged = LandscapeReport()
     if order is not None:
@@ -83,8 +71,6 @@ def merge_reports(reports: Iterable[LandscapeReport],
             merged.add(analysis)
         for failure in failures.values():
             merged.add_failure(failure)
-    for field, value in counters.items():
-        setattr(merged, field, value)
     return merged
 
 

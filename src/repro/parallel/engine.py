@@ -16,9 +16,12 @@ Determinism is the design center, not an afterthought:
 * :func:`~repro.landscape.merge.merge_reports` re-emits contracts in the
   original sweep order, making the merged report independent of worker
   completion order;
-* under the default ``codehash`` strategy the merged report serializes
+* no cache counter crosses the process boundary: ``summary.dedup`` is
+  replayed over the final report's analyses
+  (:meth:`~repro.core.report.LandscapeReport.replay_dedup`), so under
+  either shard strategy the merged report serializes
   **byte-identically** to a serial ``analyze_all`` over the same
-  addresses (see :mod:`repro.parallel.shard` for why).
+  addresses.
 
 Process model: the ``fork`` start method is preferred — the parent plants
 its generated world in a module global before launching workers, and
@@ -53,7 +56,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.core.report import LandscapeReport
-from repro.landscape.merge import _COUNTER_FIELDS, merge_reports
+from repro.landscape.merge import merge_reports
 from repro.landscape.serialize import (
     analysis_to_dict,
     dict_to_analysis,
@@ -113,8 +116,6 @@ def _analyze_shard(proxion: Any, shard_index: int,
                      for analysis in report.analyses.values()],
         "failures": [failure_to_dict(failure)
                      for failure in report.failures.values()],
-        "counters": {name: getattr(report, name)
-                     for name in _COUNTER_FIELDS},
         "metrics": proxion.metrics.state(),
         "wall_s": time.perf_counter() - wall_start,
         "cpu_s": time.process_time() - cpu_start,
@@ -153,8 +154,6 @@ def _partial_report(result: dict[str, Any]) -> LandscapeReport:
         report.add(dict_to_analysis(record))
     for record in result["failures"]:
         report.add_failure(dict_to_failure(record))
-    for name, value in result["counters"].items():
-        setattr(report, name, value)
     return report
 
 
@@ -212,35 +211,26 @@ class ShardedSweepResult:
 def _fold_store(result: ShardedSweepResult, restored,
                 addresses: list[bytes], code_of,
                 spec: SweepSpec) -> ShardedSweepResult:
-    """Fold an incremental sweep's restored prefix into its result."""
-    from repro.store.binding import replayed_counter_baseline
-
-    if restored is None or not restored.completed:
-        return result
-    prefix = LandscapeReport()
-    for analysis in restored.analyses:
-        prefix.add(analysis)
-    for failure in restored.failures:
-        prefix.add_failure(failure)
-    report = merge_reports([prefix, result.report], order=addresses)
-    # The dedup counters a from-scratch sweep would have accrued over
-    # the restored prefix — replayed from the restored analyses, never
-    # read from the store (a kill -9 could leave stored counters
-    # stale; the committed rows themselves cannot lie).
-    baseline = replayed_counter_baseline(restored.analyses, code_of,
-                                         spec.options)
-    for name, value in baseline.items():
-        setattr(report, name, getattr(report, name) + value)
-    result.report = report
-    result.store_restored = (len(restored.analyses)
-                             + len(restored.failures))
-    result.metrics.counter("pipeline.store_restored_contracts").inc(
-        result.store_restored)
-    result.metrics.counter("pipeline.store_restored_skips").inc(
-        len(restored.skips))
-    if restored.invalidated:
-        result.metrics.counter("store.invalidated_instances").inc(
-            restored.invalidated)
+    """Finish a sweep's report: fold in an incremental sweep's restored
+    prefix, then replay ``summary.dedup`` over the whole of it."""
+    if restored is not None and restored.completed:
+        prefix = LandscapeReport()
+        for analysis in restored.analyses:
+            prefix.add(analysis)
+        for failure in restored.failures:
+            prefix.add_failure(failure)
+        result.report = merge_reports([prefix, result.report],
+                                      order=addresses)
+        result.store_restored = (len(restored.analyses)
+                                 + len(restored.failures))
+        result.metrics.counter("pipeline.store_restored_contracts").inc(
+            result.store_restored)
+        result.metrics.counter("pipeline.store_restored_skips").inc(
+            len(restored.skips))
+        if restored.invalidated:
+            result.metrics.counter("store.invalidated_instances").inc(
+                restored.invalidated)
+    result.report.replay_dedup(code_of, spec.options)
     return result
 
 

@@ -2,25 +2,26 @@
 
 Two strategies, both pure functions of the address list (and, for
 ``codehash``, the deployed code), so the same inputs always produce the
-same partition — a prerequisite for per-shard resume:
+same partition.  Either way the merged report is byte-identical to a
+serial sweep's: ``summary.dedup`` is replayed over the merged analyses
+(:meth:`~repro.core.report.LandscapeReport.replay_dedup`), so the choice
+is one of balance against cache locality, not of correctness.
 
 ``roundrobin``
     Address *i* goes to shard ``i % shards``.  Perfectly balanced counts,
     but clones of one implementation scatter across shards, so each shard
-    pays its own §6.1 dedup cache misses and the merged ``summary.dedup``
-    counters differ from a serial sweep's (contract verdicts are still
-    identical).
+    pays its own §6.1 dedup cache misses.
 
 ``codehash``
     Address goes to shard ``keccak256(code)[-8:] % shards``.  Clone
     families — and therefore the dedup caches' key space — land whole on
     one shard: ``proxy_check`` keys by ``keccak(code)`` directly, and the
     collision caches key by ``(proxy_hash, logic_hash)`` where the proxy
-    hash determines the shard.  Per-shard relative order is preserved
-    from the input list, so summed per-shard hit/miss counters equal the
-    serial sweep's exactly and the merged report serializes
-    *byte-identically*.  The cost is load skew proportional to clone-family
-    sizes.  This is the default strategy.
+    hash determines the shard.  So the shards between them emulate each
+    bytecode once, as the serial sweep does.  The cost is load skew
+    proportional to clone-family sizes.  This is the default strategy.
+
+Every shard preserves the relative input order of its members.
 """
 
 from __future__ import annotations

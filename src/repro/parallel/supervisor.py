@@ -29,15 +29,15 @@ processes launched individually, each with
   and committed to the store — the merged report stays complete, and
   every healthy contract is analyzed exactly once.
 
-Crash-free, the supervised sweep is **byte-identical** to both the old
-pool engine and the serial sweep (codehash strategy): supervision changes
-how workers are babysat, never what they compute.  Under crash injection
-(the ``worker-*`` fault plans in :mod:`repro.chain.faults`) the contracts
-and failures match: every analyzed record equals the serial one and every
-other address is a counted ``worker-crash`` quarantine.  ``summary.dedup``
-does not match: a salvaged prefix carries no cache counters, so the
-merged hit/miss totals undercount.  The ``worker-chaos`` and
-``worker-poison`` cells of ``tests/integration/test_equivalence.py``
+Supervision changes how workers are babysat, never what they compute.
+Whatever crashes and respawns the ``worker-*`` fault plans of
+:mod:`repro.chain.faults` inject, every analyzed record equals the serial
+one and every other address is a counted ``worker-crash`` quarantine.
+No cache counter crosses the pipe: ``summary.dedup`` is replayed over the
+merged report, so a sweep that quarantines nothing is **byte-identical**
+to the serial sweep, under either shard strategy.  A poison quarantine
+drops its contract from that replay.  The ``supervised``, ``worker-chaos``
+and ``worker-poison`` cells of ``tests/integration/test_equivalence.py``
 check this.
 
 Supervision is observable: ``parallel.respawns``, ``parallel.hung_kills``,
@@ -75,7 +75,6 @@ from typing import Any, Callable, Sequence
 
 from repro.errors import ConfigurationError, WorkerCrash, classify_cause
 from repro.core.report import ContractFailure
-from repro.landscape.merge import _COUNTER_FIELDS
 from repro.landscape.serialize import analysis_to_dict, failure_to_dict
 from repro.obs import events as ev
 from repro.obs.events import EventJournal, EventRecorder, NULL_RECORDER
@@ -249,7 +248,6 @@ def _empty_result(shard: int) -> dict[str, Any]:
         "addresses": 0,
         "analyses": [],
         "failures": [],
-        "counters": dict.fromkeys(_COUNTER_FIELDS, 0),
         "metrics": {},
         "wall_s": 0.0,
         "cpu_s": 0.0,
@@ -599,6 +597,7 @@ def run_supervised_sweep(spec, *,
     results.sort(key=lambda result: result["shard"])
     report = merge_reports([_partial_report(result) for result in results],
                            order=addresses)
+    report.replay_dedup(code_of, spec.options)
     metrics = MetricsRegistry()
     for result in results:
         metrics.merge_state(result["metrics"])

@@ -19,7 +19,6 @@ from repro.store.binding import (
     open_store,
     open_worker_binding,
     quarantine_store,
-    replayed_counter_baseline,
     restore_instances,
 )
 from repro.store.maintenance import FsckReport, fsck, stats, vacuum
@@ -41,7 +40,6 @@ __all__ = [
     "open_store",
     "open_worker_binding",
     "quarantine_store",
-    "replayed_counter_baseline",
     "restore_instances",
     "stats",
     "vacuum",

@@ -28,14 +28,13 @@ it opens the file as it is, never quarantines it, and falls back to
 in-memory caches if it cannot.  SQLite's WAL and busy timeout let the
 workers commit side by side: each waits at most for another's commit.
 
-Incremental restore and the counter-replay baseline live here too:
-:func:`restore_instances` re-surveys a grown corpus by fetching each
-address's code and validating it against the stored codehash (only
-byte-identical deployments are trusted), and
-:func:`replayed_counter_baseline` reconstructs the dedup counters a
-from-scratch sweep would have accrued over the restored prefix — by
-replaying cache behavior over the restored analyses, *not* by trusting
-any stored counter, so a ``kill -9`` can never leave the baseline stale.
+Incremental restore lives here too: :func:`restore_instances`
+re-surveys a grown corpus by fetching each address's code and validating
+it against the stored codehash (only byte-identical deployments are
+trusted).  No dedup counter is stored: a sweep replays ``summary.dedup``
+over its final report
+(:meth:`~repro.core.report.LandscapeReport.replay_dedup`), restored rows
+included, so a ``kill -9`` can never leave it stale.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import os
 import sqlite3
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.core.report import ContractAnalysis, ContractFailure
 from repro.errors import ConfigurationError
@@ -425,67 +424,6 @@ def restore_instances(store: AnalysisStore,
     return restored
 
 
-#: The per-sweep counter fields reconstructed by the replay baseline.
-_BASE_FIELDS = (
-    "proxy_check_cache_hits", "proxy_check_cache_misses",
-    "function_cache_hits", "function_cache_misses",
-    "storage_cache_hits", "storage_cache_misses",
-    "collision_cache_hits",
-)
-
-
-def replayed_counter_baseline(analyses: Iterable[ContractAnalysis],
-                              code_of: Callable[[bytes], bytes],
-                              options) -> dict[str, int]:
-    """The dedup counters a cold sweep would accrue over ``analyses``.
-
-    Replays the cache hit/miss behavior of
-    :meth:`~repro.core.pipeline.Proxion.analyze_all` over the restored
-    analyses *in sweep order*, starting from empty caches: first sight
-    of a codehash is a miss, every repeat a hit; ditto per
-    (proxy-code, logic-code) pair for the collision caches.  Added to
-    the delta sweep's own counters this reconstructs exactly the
-    from-scratch totals — **without persisting counters**, which a
-    ``kill -9`` could leave stale.  (Restored *failures* contribute
-    nothing: their partial cache traffic is unknowable, and they only
-    exist on chaos paths where ``summary.dedup`` divergence is already
-    the documented exception.)
-    """
-    base = dict.fromkeys(_BASE_FIELDS, 0)
-    seen_hashes: set[bytes] = set()
-    seen_pairs: set[tuple[bytes, bytes]] = set()
-    pair_hits = pair_misses = 0
-    for analysis in analyses:
-        if not options.dedup_by_code_hash:
-            base["proxy_check_cache_misses"] += 1
-        elif analysis.code_hash in seen_hashes:
-            base["proxy_check_cache_hits"] += 1
-        else:
-            seen_hashes.add(analysis.code_hash)
-            base["proxy_check_cache_misses"] += 1
-        if analysis.logic_history is None:
-            continue
-        for logic_address in analysis.logic_history.logic_addresses:
-            logic_code = code_of(logic_address)
-            if not logic_code:
-                continue
-            pair = (analysis.code_hash, keccak256(logic_code))
-            if pair in seen_pairs:
-                pair_hits += 1
-            else:
-                seen_pairs.add(pair)
-                pair_misses += 1
-    if options.detect_function_collisions:
-        base["function_cache_hits"] = pair_hits
-        base["function_cache_misses"] = pair_misses
-    if options.detect_storage_collisions:
-        base["storage_cache_hits"] = pair_hits
-        base["storage_cache_misses"] = pair_misses
-    base["collision_cache_hits"] = (base["function_cache_hits"]
-                                    + base["storage_cache_hits"])
-    return base
-
-
 __all__ = [
     "FactSet",
     "RestoredInstances",
@@ -495,6 +433,5 @@ __all__ = [
     "open_store",
     "open_worker_binding",
     "quarantine_store",
-    "replayed_counter_baseline",
     "restore_instances",
 ]

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from repro.core.function_collision import FunctionCollision, FunctionCollisionReport
+from repro.core.logic_finder import LogicHistory
+from repro.core.pipeline import ProxionOptions
 from repro.core.proxy_detector import NotProxyReason, ProxyCheck
 from repro.core.report import ContractAnalysis, LandscapeReport
 from repro.core.standards import ProxyStandard
@@ -77,6 +79,23 @@ def test_landscape_report_counters() -> None:
     assert len(report.hidden_proxies()) == 1
     assert abs(report.emulation_failure_rate() - 1 / 3) < 1e-9
     assert report.standards_census() == {ProxyStandard.EIP1167: 1}
+
+
+def test_replay_dedup_keys_collision_pairs_by_logic_code() -> None:
+    """Byte-identical logic code behind one proxy codehash is one pair: a
+    miss, then a hit.  A logic address without code counts nothing."""
+    twin_a, twin_b, empty = b"\x0a" * 20, b"\x0b" * 20, b"\x0c" * 20
+    code = {twin_a: b"\x60\x00", twin_b: b"\x60\x00"}
+    report = LandscapeReport()
+    report.add(_analysis(logic_history=LogicHistory(
+        proxy=ADDR, slot=0, logic_addresses=[twin_a, twin_b, empty])))
+    report.replay_dedup(lambda address: code.get(address, b""),
+                        ProxionOptions())
+    assert (report.proxy_check_cache_hits,
+            report.proxy_check_cache_misses) == (0, 1)
+    assert (report.function_cache_hits, report.function_cache_misses,
+            report.storage_cache_hits, report.storage_cache_misses) \
+        == (1, 1, 1, 1)
 
 
 def test_empty_report() -> None:

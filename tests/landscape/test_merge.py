@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.pipeline import Proxion
+from repro.core.pipeline import Proxion, ProxionOptions
 from repro.core.report import ContractAnalysis, ContractFailure, LandscapeReport
 from repro.corpus.generator import generate_landscape
 from repro.errors import ConfigurationError
@@ -23,14 +23,12 @@ def _failure(tag: bytes) -> ContractFailure:
                            stage="analysis")
 
 
-def _report(analyses=(), failures=(), **counters) -> LandscapeReport:
+def _report(analyses=(), failures=()) -> LandscapeReport:
     report = LandscapeReport()
     for analysis in analyses:
         report.add(analysis)
     for failure in failures:
         report.add_failure(failure)
-    for name, value in counters.items():
-        setattr(report, name, value)
     return report
 
 
@@ -55,19 +53,6 @@ def test_failure_records_are_preserved() -> None:
     assert len(merged.analyses) == 1
 
 
-def test_dedup_counters_are_summed() -> None:
-    merged = merge_reports([
-        _report([_analysis(b"\x01")], proxy_check_cache_hits=3,
-                function_cache_misses=2, collision_cache_hits=1),
-        _report([_analysis(b"\x02")], proxy_check_cache_hits=4,
-                storage_cache_hits=5, collision_cache_hits=2),
-    ])
-    assert merged.proxy_check_cache_hits == 7
-    assert merged.function_cache_misses == 2
-    assert merged.storage_cache_hits == 5
-    assert merged.collision_cache_hits == 3
-
-
 def test_order_reorders_and_skips_unanalyzed_addresses() -> None:
     first, second = _analysis(b"\x01"), _analysis(b"\x02")
     dead = b"\xde\xad".ljust(20, b"\x00")
@@ -87,7 +72,8 @@ def test_merged_serialization_matches_serial_sweep() -> None:
 
     Runs the real pipeline over an 80-contract landscape twice — once
     serially, once as four independent codehash shards merged back — and
-    compares the full serialized reports, dedup counters included.
+    compares the full serialized reports, the dedup block replayed over
+    the merged analyses included.
     """
     world = generate_landscape(total=80, seed=11)
     addresses = world.addresses()
@@ -103,5 +89,6 @@ def test_merged_serialization_matches_serial_sweep() -> None:
                                      dataset=world.dataset)
         partials.append(proxion.analyze_all(partition))
     merged = merge_reports(partials, order=addresses)
+    merged.replay_dedup(world.chain.state.get_code, ProxionOptions())
 
     assert report_to_json(merged) == report_to_json(serial)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -95,6 +96,25 @@ class TestSuite:
         # The merged registry carries the workers' RPC and dedup activity.
         assert row["rpc"]["eth_getCode"] > 0
         assert row["dedup"]["proxy_check"]["hits"] > 0
+
+    def test_serve_queries_qps_excludes_daemon_startup(self,
+                                                       monkeypatch) -> None:
+        from repro.serve import ServeApp
+
+        delay_s = 1.5
+        start = ServeApp.start
+
+        def slow_start(app):
+            time.sleep(delay_s)
+            return start(app)
+
+        monkeypatch.setattr(ServeApp, "start", slow_start)
+        config = BenchConfig(quick=True, repeats=1, warmup=0,
+                             only=("serve_queries",))
+        meta = run_suite(config)["workloads"]["serve_queries"]["meta"]
+        assert meta["startup_s"] >= delay_s
+        # Timing the start-up too would bound qps by queries / delay_s.
+        assert meta["qps"] > meta["queries"] / delay_s
 
     def test_write_payload_surfaces_oserror_with_path(self) -> None:
         with pytest.raises(OSError, match="/nope/BENCH.json"):

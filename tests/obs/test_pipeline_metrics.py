@@ -12,8 +12,9 @@ from repro.chain.explorer import SourceRegistry
 from repro.chain.node import ArchiveNode
 from repro.cli import main
 from repro.core.monitor import DeploymentMonitor
-from repro.core.pipeline import Proxion
+from repro.core.pipeline import DEDUP_CACHES, Proxion, ProxionOptions
 from repro.corpus import generate_landscape
+from repro.landscape import report_to_json
 from repro.lang import compile_contract, stdlib
 from repro.obs import NULL_REGISTRY
 
@@ -21,9 +22,13 @@ from tests.conftest import ALICE
 
 
 @pytest.fixture(scope="module")
-def swept():
+def landscape():
+    return generate_landscape(total=80, seed=5)
+
+
+@pytest.fixture(scope="module")
+def swept(landscape):
     """A small sweep plus the Proxion that produced it."""
-    landscape = generate_landscape(total=80, seed=5)
     proxion = Proxion(landscape.node, registry=landscape.registry, dataset=landscape.dataset)
     report = proxion.analyze_all()
     return proxion, report
@@ -39,19 +44,30 @@ def test_registry_agrees_with_api_call_counter(swept) -> None:
     assert shim.get("eth_getStorageAt") > 0
 
 
-def test_report_dedup_fields_match_registry(swept) -> None:
-    proxion, report = swept
+@pytest.mark.parametrize("options", [
+    ProxionOptions(),
+    ProxionOptions(dedup_by_code_hash=False),
+    ProxionOptions(detect_function_collisions=False),
+    ProxionOptions(detect_storage_collisions=False),
+], ids=["default", "no-codehash-dedup", "no-function", "no-storage"])
+def test_report_dedup_fields_match_registry(landscape, options) -> None:
+    """A crash-free serial sweep's replayed dedup block equals what the
+    live caches counted."""
+    proxion = Proxion.from_chain(landscape.chain,
+                                 registry=landscape.registry,
+                                 dataset=landscape.dataset, options=options)
+    report = proxion.analyze_all()
     registry = proxion.metrics
-    assert report.proxy_check_cache_hits \
-        == registry.counter_value("dedup.hits", cache="proxy_check")
-    assert report.proxy_check_cache_misses \
-        == registry.counter_value("dedup.misses", cache="proxy_check")
-    assert report.function_cache_hits \
-        == registry.counter_value("dedup.hits", cache="function_collision")
-    assert report.storage_cache_misses \
-        == registry.counter_value("dedup.misses", cache="storage_collision")
-    assert report.collision_cache_hits \
-        == report.function_cache_hits + report.storage_cache_hits
+    live = {cache: (registry.counter_value("dedup.hits", cache=cache),
+                    registry.counter_value("dedup.misses", cache=cache))
+            for cache in DEDUP_CACHES}
+    assert {"proxy_check": (report.proxy_check_cache_hits,
+                            report.proxy_check_cache_misses),
+            "function_collision": (report.function_cache_hits,
+                                   report.function_cache_misses),
+            "storage_collision": (report.storage_cache_hits,
+                                  report.storage_cache_misses)} == live
+    assert sum(live["proxy_check"]) == len(report)
     rates = report.dedup_hit_rates()
     assert set(rates) == {"proxy_check", "function_collision",
                           "storage_collision"}
@@ -72,7 +88,7 @@ def test_pipeline_spans_and_recovery_counters(swept) -> None:
     assert proxies > 0 and calls >= proxies
 
 
-def test_null_registry_pipeline_records_nothing(swept) -> None:
+def test_null_registry_pipeline_records_nothing() -> None:
     landscape = generate_landscape(total=30, seed=9)
     node = ArchiveNode(landscape.node.chain, metrics=NULL_REGISTRY)
     proxion = Proxion(node, registry=landscape.registry, dataset=landscape.dataset)
@@ -81,9 +97,12 @@ def test_null_registry_pipeline_records_nothing(swept) -> None:
     assert proxion.metrics is NULL_REGISTRY
     assert proxion.metrics.snapshot()["counters"] == {}
     assert proxion.spans.spans == []             # the null tracer has no sinks
-    # The report-level dedup fields stay zero without a live registry...
-    assert report.proxy_check_cache_hits == 0
-    # ...but the analyses themselves are unaffected.
+    # The report is the live-registry sweep's, dedup block included: it
+    # is replayed from the analyses, not read off the registry.
+    live = Proxion.from_chain(landscape.chain, registry=landscape.registry,
+                              dataset=landscape.dataset).analyze_all()
+    assert report_to_json(report) == report_to_json(live)
+    assert report.proxy_check_cache_hits > 0
     assert report.proxies()
 
 
